@@ -9,7 +9,7 @@ engine uses, which lets us do three things no amount of sampling can:
 2. certify that a set of states is closed (inescapable), and
 3. test the engine's sampler against the exact distribution.
 """
-from repsim import (ExactState, SystemConfig, WorkerSpec,
+from repsim import (SystemConfig, WorkerSpec, all_cheat_trap,
                     compare_engine_distribution, check_closed,
                     enumerate_transitions, reach_probability,
                     state_from_config, OracleBoundError)
@@ -24,16 +24,12 @@ print(f"one round from the start state branches {len(dist.successors)} ways"
       f" (total mass {dist.total():.12f})")
 
 # -- the audit floor matters: without it, all-cheat is a trap ---------------
-trap_cfg = SystemConfig(workers=[WorkerSpec(p_c0=0.5) for _ in range(3)],
-                        scheme=Type2(), p_a0=0.0, p_a_min=0.0).validate()
-trap = ExactState(p_a=0.0, aud=0, p_c=(1.0,) * 3, v=(0,) * 3, beta=(0.0,) * 3)
-closed = check_closed(trap_cfg, [trap],
-                      lambda s: s.p_a == 0.0 and all(p == 1.0 for p in s.p_c))
+trap_cfg, trap, trapped = all_cheat_trap()
+closed = check_closed(trap_cfg, [trap], trapped)
 print(f"with p_a pinned at 0, the all-cheat state is closed: {closed}")
 
 try:
-    p = reach_probability(trap_cfg, state_from_config(trap_cfg),
-                          lambda s: all(q == 1.0 for q in s.p_c),
+    p = reach_probability(trap_cfg, state_from_config(trap_cfg), trapped,
                           horizon=200, max_states=5000)
     kind = "exactly"
 except OracleBoundError as exc:

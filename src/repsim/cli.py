@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import metrics, oracle, reputation as rep, scenarios
-from .model import SystemConfig, WorkerType
-from .oracle import ExactState
+from .model import ExactState, SystemConfig
 
 FMT = "%.10g"
 
@@ -65,10 +64,13 @@ def _apply_overrides(config: SystemConfig, args) -> SystemConfig:
         config.seeds = tuple(int(s) for s in args.seeds.replace(",", " ").split())
     if args.horizon is not None:
         config.horizon = args.horizon
-    if args.scheme is not None:
-        config.scheme = rep.scheme_from_name(args.scheme, epsilon=args.epsilon)
-    elif args.epsilon != 0.5 and isinstance(config.scheme, rep.Type2):
-        config.scheme = rep.Type2(epsilon=args.epsilon)
+    if args.scheme is not None or args.epsilon is not None:
+        name = args.scheme or config.scheme.name
+        # a scheme named again keeps its parameters; --epsilon overrides
+        params = asdict(config.scheme) if name == config.scheme.name else {}
+        if args.epsilon is not None:
+            params["epsilon"] = args.epsilon
+        config.scheme = rep.scheme_from_name(name, **params)
     for attr, val in (("tau", args.tau), ("wpc", args.wpc), ("wct", args.wct),
                       ("p_a0", args.pa0), ("p_a_min", args.pamin)):
         if val is not None:
@@ -149,26 +151,12 @@ def _verify_property2(args) -> bool:
     return ok
 
 
-def _lemma1_config() -> SystemConfig:
-    cfg = scenarios.get_scenario("rational9-type2-pc1")
-    cfg.workers = cfg.workers[:3]
-    cfg.workers = [replace(w, p_c0=0.5) for w in cfg.workers]
-    cfg.p_a0 = 0.0
-    cfg.p_a_min = 0.0
-    return cfg.validate()
-
-
 def _verify_lemma1(args) -> bool:
-    config = _lemma1_config()
-    all_cheat = ExactState(p_a=0.0, aud=0, p_c=(1.0, 1.0, 1.0),
-                           v=(0, 0, 0), beta=(0.0, 0.0, 0.0))
-    closed = oracle.check_closed(config, [all_cheat],
-                                 lambda s: s.p_a == 0.0 and all(p == 1.0 for p in s.p_c))
-    start = oracle.state_from_config(config)
+    config, trap, trapped = scenarios.all_cheat_trap()
+    closed = oracle.check_closed(config, [trap], trapped)
     try:
-        prob = oracle.reach_probability(config, start,
-                                        lambda s: all(p == 1.0 for p in s.p_c),
-                                        horizon=args.horizon or 200,
+        prob = oracle.reach_probability(config, oracle.state_from_config(config),
+                                        trapped, horizon=args.horizon or 200,
                                         max_states=5000)
         note = "exact"
     except oracle.OracleBoundError as exc:
@@ -200,11 +188,8 @@ def _verify_transitions(args) -> bool:
 def _verify_closed_sets(args) -> bool:
     ok = True
 
-    config = _lemma1_config()
-    all_cheat = ExactState(p_a=0.0, aud=0, p_c=(1.0, 1.0, 1.0),
-                           v=(0, 0, 0), beta=(0.0, 0.0, 0.0))
-    closed = oracle.check_closed(config, [all_cheat],
-                                 lambda s: s.p_a == 0.0 and all(p == 1.0 for p in s.p_c))
+    config, trap, trapped = scenarios.all_cheat_trap()
+    closed = oracle.check_closed(config, [trap], trapped)
     print(f"closed-sets: all-cheat untruthful set closed={closed} "
           f"{'PASS' if closed else 'FAIL'}")
     ok &= closed
@@ -267,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seeds", help="space/comma separated seed list")
     run.add_argument("--horizon", type=int)
     run.add_argument("--scheme", choices=rep.SCHEME_NAMES)
-    run.add_argument("--epsilon", type=float, default=0.5)
+    run.add_argument("--epsilon", type=float)
     run.add_argument("--tau", type=float)
     run.add_argument("--wpc", type=float)
     run.add_argument("--wby", type=float)

@@ -1,180 +1,184 @@
 """Round loop: strategy draws, auditing, weighted majority and learning.
 
 The actual state update lives in `round_successor`, a pure function of
-(state, cheater set, audited flag, tie coin).  The stochastic engine and the
-exact Markov enumerator both call it, so their successor states agree
-bit-for-bit.
+(config, state, cheater set, audited flag, tie coin).  The stochastic
+engine and the exact Markov enumerator both call it, so their successor
+states agree bit-for-bit.  The chain state is `model.ExactState`; the
+per-worker constants and the master's knobs are read from the config.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from . import reputation as rep
-from .model import (FIXED_PC, MasterState, RoundOutcome, SystemConfig,
-                    WorkerState, WorkerType, clamp, compute_payoffs)
+from .model import (FIXED_PC, ExactState, RoundOutcome, SystemConfig,
+                    WorkerType, clamp, compute_payoffs)
 
 
-@dataclass
-class SimulationState:
-    """Mutable run state; mirrors the chain vector (p_a, aud, p_c*, v*, beta*)."""
+@dataclass(frozen=True)
+class Branch:
+    """One stochastic outcome of a round: who cheated, audit and tie result."""
 
-    master: MasterState
-    workers: list
-    round: int = 0
-    rng: random.Random = field(default_factory=random.Random)
+    cheaters: frozenset
+    audited: bool
+    tie_outcome: Optional[bool] = None   # honest camp won the coin flip
 
 
-def decide_strategies(state: SimulationState) -> frozenset:
+def decide_strategies(state: ExactState, rng: random.Random) -> frozenset:
     """Draw this round's cheater set, one uniform per worker in index order.
 
     Altruistic and malicious workers hold p_c at 0 and 1, so the same
     Bernoulli draw covers all three types (and keeps the stream length
     independent of the type mix).
     """
-    return frozenset(i for i, w in enumerate(state.workers)
-                     if state.rng.random() < w.p_c)
+    return frozenset(i for i, p_c in enumerate(state.p_c) if rng.random() < p_c)
 
 
-def weighted_majority(scheme, workers, aud: int, cheaters: frozenset):
+def _camp(scheme, v, beta, aud: int, members) -> float:
+    """Aggregate reputation of the workers listed in `members`."""
+    return rep.aggregate(scheme, ((v[i], beta[i]) for i in members), aud)
+
+
+def weighted_majority(scheme, state: ExactState, cheaters: frozenset):
     """Aggregate reputations of the two camps.
 
     Returns (rho_honest, rho_cheat, tie).  All cheaters return one identical
     wrong value, so the vote is camp-against-camp.
     """
-    rho_honest = rep.aggregate(scheme, ((w.v, w.beta) for i, w in enumerate(workers)
-                                        if i not in cheaters), aud)
-    rho_cheat = rep.aggregate(scheme, ((w.v, w.beta) for i, w in enumerate(workers)
-                                       if i in cheaters), aud)
+    n, v, beta, aud = len(state.v), state.v, state.beta, state.aud
+    rho_honest = _camp(scheme, v, beta, aud, (i for i in range(n) if i not in cheaters))
+    rho_cheat = _camp(scheme, v, beta, aud, (i for i in range(n) if i in cheaters))
     return rho_honest, rho_cheat, rho_honest == rho_cheat
 
 
-def master_update(master: MasterState, rho_cheat: float, rho_total: float) -> MasterState:
+def master_update(config: SystemConfig, p_a: float, rho_cheat: float,
+                  rho_total: float) -> float:
     """Audit-probability reinforcement; call only after an audit."""
     if rho_total <= 0:
         raise ValueError("total reputation must be positive in an audited round")
-    p_a = clamp(master.p_a + master.alpha_m * (rho_cheat / rho_total - master.tau),
-                master.p_a_min, 1.0)
-    return replace(master, p_a=p_a, aud=master.aud + 1)
+    return clamp(p_a + config.alpha_m * (rho_cheat / rho_total - config.tau),
+                 config.p_a_min, 1.0)
 
 
-def worker_update(worker: WorkerState, payoff: float, cheated: bool,
-                  alpha_w: float) -> WorkerState:
+def worker_update(spec, p_c: float, payoff: float, cheated: bool,
+                  alpha_w: float) -> float:
     """Aspiration-based probability update; non-rational workers pass through."""
-    if worker.wtype is not WorkerType.RATIONAL:
-        return worker
+    if spec.wtype is not WorkerType.RATIONAL:
+        return p_c
     s = -1.0 if cheated else 1.0
-    p_c = clamp(worker.p_c - alpha_w * (payoff - worker.aspiration) * s, 0.0, 1.0)
-    return replace(worker, p_c=p_c)
+    return clamp(p_c - alpha_w * (payoff - spec.aspiration) * s, 0.0, 1.0)
 
 
-def round_successor(config: SystemConfig, master: MasterState, workers,
-                    cheaters: frozenset, audited: bool, tie_coin=None):
+def _audit_weights(scheme, v, beta, aud: int, cheaters: frozenset):
+    """(rho_cheat, rho_total) after an audit, for the master's update."""
+    n = len(v)
+    rho_cheat = _camp(scheme, v, beta, aud, (i for i in range(n) if i in cheaters))
+    rho_total = _camp(scheme, v, beta, aud, range(n))
+    if rho_total == 0.0:
+        # Every reputation underflowed (type 2 after ~1075 audits).  Type 2
+        # depends only on aud - v, so reading it at aud = max(v) divides
+        # every value by the same eps^(aud - max(v)) and keeps the share.
+        aud = max(v)
+        rho_cheat = _camp(scheme, v, beta, aud, (i for i in range(n) if i in cheaters))
+        rho_total = _camp(scheme, v, beta, aud, range(n))
+    return rho_cheat, rho_total
+
+
+def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset,
+                    audited: bool, tie_coin=None):
     """Pure one-round transition.
 
-    `tie_coin` resolves a reputation tie in an unaudited round (True: the
-    honest camp wins); it must be provided iff a tie actually occurs.
-    Returns (master', workers', outcome) where outcome.round is left at -1
-    for the caller to fill in.
+    `tie_coin` is a zero-argument callable that resolves a reputation tie in
+    an unaudited round (True: the honest camp wins); it is called only when
+    a tie actually occurs.  Returns (state', branch, outcome) where
+    outcome.round is left at -1 for the caller to fill in.
     """
     scheme = config.scheme
-    n = len(workers)
-    wbys = [w.wby for w in workers]
+    n = config.n
 
     if audited:
-        new_workers = []
-        for i, w in enumerate(workers):
-            v, beta = rep.audit_update(scheme, w.v, w.beta, truthful=i not in cheaters)
-            new_workers.append(replace(w, v=v, beta=beta))
-        aud_next = master.aud + 1
-        rho_cheat = rep.aggregate(scheme, ((w.v, w.beta) for i, w in enumerate(new_workers)
-                                           if i in cheaters), aud_next)
-        rho_total = rep.aggregate(scheme, ((w.v, w.beta) for w in new_workers), aud_next)
-        new_master = master_update(master, rho_cheat, rho_total)
+        v, beta = zip(*(rep.audit_update(scheme, state.v[i], state.beta[i],
+                                         truthful=i not in cheaters)
+                        for i in range(n)))
+        aud = state.aud + 1
+        rho_cheat, rho_total = _audit_weights(scheme, v, beta, aud, cheaters)
+        p_a = master_update(config, state.p_a, rho_cheat, rho_total)
         majority = frozenset()
-        accepted_correct, tie_broken = True, False
+        accepted_correct, branch = True, Branch(cheaters, True)
     else:
-        rho_honest, rho_cheat, tie = weighted_majority(scheme, workers, master.aud, cheaters)
+        rho_honest, rho_cheat, tie = weighted_majority(scheme, state, cheaters)
         if tie:
             if tie_coin is None:
-                raise ValueError("tie occurred but no tie outcome was supplied")
-            honest_win, tie_broken = bool(tie_coin), True
+                raise ValueError("tie occurred but no tie coin was supplied")
+            honest_win = bool(tie_coin())
+            branch = Branch(cheaters, False, honest_win)
         else:
-            honest_win, tie_broken = rho_honest > rho_cheat, False
-        all_workers = frozenset(range(n))
-        majority = all_workers - cheaters if honest_win else frozenset(cheaters)
+            honest_win = rho_honest > rho_cheat
+            branch = Branch(cheaters, False)
+        majority = frozenset(range(n)) - cheaters if honest_win else frozenset(cheaters)
         accepted_correct = honest_win
-        new_workers = list(workers)
-        new_master = master
+        p_a, aud, v, beta = state.p_a, state.aud, state.v, state.beta
 
-    payoffs = compute_payoffs(n, cheaters, audited, majority, wbys,
-                              config.wpc, config.wct)
-    new_workers = [worker_update(w, payoffs[i], cheated=i in cheaters,
-                                 alpha_w=config.alpha_w)
-                   for i, w in enumerate(new_workers)]
+    payoffs = compute_payoffs(n, cheaters, audited, majority,
+                              [w.wby for w in config.workers], config.wpc, config.wct)
+    p_c = tuple(worker_update(spec, state.p_c[i], payoffs[i], cheated=i in cheaters,
+                              alpha_w=config.alpha_w)
+                for i, spec in enumerate(config.workers))
 
     outcome = RoundOutcome(
         round=-1,
         cheater_set=cheaters,
         audited=audited,
         majority_set=majority,
-        tie_broken=tie_broken,
+        tie_broken=branch.tie_outcome is not None,
         accepted_correct=accepted_correct,
         payoffs=payoffs,
-        reputations_after=tuple(rep.value(scheme, w.v, new_master.aud, w.beta)
-                                for w in new_workers),
-        p_a_after=new_master.p_a,
-        p_c_after=tuple(w.p_c for w in new_workers),
+        reputations_after=tuple(rep.value(scheme, v[i], aud, beta[i]) for i in range(n)),
+        p_a_after=p_a,
+        p_c_after=p_c,
     )
-    return new_master, new_workers, outcome
+    return ExactState(p_a, aud, p_c, v, beta), branch, outcome
 
 
-def run_round(state: SimulationState, config: SystemConfig) -> RoundOutcome:
-    """Execute one round in place.
+def run_round(config: SystemConfig, state: ExactState, rng: random.Random):
+    """One sampled round; returns round_successor's (state', branch, outcome).
 
     RNG draw order is fixed: n strategy uniforms (ascending index), one
     audit uniform, then one tie uniform only if a tie actually occurs.
     """
-    cheaters = decide_strategies(state)
-    audited = state.rng.random() < state.master.p_a
-    tie_coin = None
-    if not audited:
-        _, _, tie = weighted_majority(config.scheme, state.workers,
-                                      state.master.aud, cheaters)
-        if tie:
-            tie_coin = state.rng.random() < 0.5
-    state.master, state.workers, outcome = round_successor(
-        config, state.master, state.workers, cheaters, audited, tie_coin)
-    outcome.round = state.round
-    state.round += 1
-    return outcome
+    cheaters = decide_strategies(state, rng)
+    audited = rng.random() < state.p_a
+    return round_successor(config, state, cheaters, audited,
+                           lambda: rng.random() < 0.5)
 
 
-def apply_role_changes(state: SimulationState, config: SystemConfig):
-    """Swap worker types scheduled for the current round.
+def apply_role_changes(config: SystemConfig, state: ExactState, round_: int):
+    """Swap worker types scheduled for `round_`: returns (config', state').
 
     Validation counts and error rates are retained; only the type (and, for
     the predefined types, the cheat probability) changes.
     """
-    for rc in config.role_changes:
-        if rc.round == state.round:
-            w = state.workers[rc.worker]
-            p_c = FIXED_PC.get(rc.new_type, w.p_c)
-            state.workers[rc.worker] = replace(w, wtype=rc.new_type, p_c=p_c)
-
-
-def initial_state(config: SystemConfig, seed: int) -> SimulationState:
-    return SimulationState(master=config.initial_master(),
-                           workers=config.initial_workers(),
-                           round=0, rng=random.Random(seed))
+    due = [rc for rc in config.role_changes if rc.round == round_]
+    if not due:
+        return config, state
+    workers, p_c = list(config.workers), list(state.p_c)
+    for rc in due:
+        workers[rc.worker] = replace(workers[rc.worker], wtype=rc.new_type)
+        p_c[rc.worker] = FIXED_PC.get(rc.new_type, p_c[rc.worker])
+    return replace(config, workers=workers), replace(state, p_c=tuple(p_c))
 
 
 def run_simulation(config: SystemConfig, seed: int) -> list:
     """Full deterministic run: one trace of RoundOutcome per round."""
     config.validate()
-    state = initial_state(config, seed)
+    rng = random.Random(seed)
+    state = config.initial_state()
     trace = []
-    for _ in range(config.horizon):
-        apply_role_changes(state, config)
-        trace.append(run_round(state, config))
+    for r in range(config.horizon):
+        config, state = apply_role_changes(config, state, r)
+        state, _, outcome = run_round(config, state, rng)
+        outcome.round = r
+        trace.append(outcome)
     return trace

@@ -6,11 +6,10 @@ single definition of who earns what.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from . import reputation as rep
 
@@ -25,25 +24,16 @@ class WorkerType(Enum):
     MALICIOUS = "malicious"
 
 
+#: Decimals `ExactState.canonical` keeps, so that states reached along
+#: different paths merge.
+GRID_DECIMALS = 12
+
 #: Cheat probability forced by a predefined behavior; rational workers float.
 FIXED_PC = {WorkerType.ALTRUISTIC: 0.0, WorkerType.MALICIOUS: 1.0}
 
 
 def clamp(x: float, lo: float, hi: float) -> float:
     return max(lo, min(hi, x))
-
-
-@dataclass(frozen=True)
-class PayoffParams:
-    """Global worker payoff magnitudes (all non-negative reward units)."""
-
-    wpc: float = 0.0   # punishment when caught cheating
-    wct: float = 0.1   # cost of actually computing a task
-    wby: float = 1.0   # default reward for an accepted answer
-
-    def __post_init__(self):
-        if self.wpc < 0 or self.wct < 0 or self.wby < 0:
-            raise ConfigError("payoff magnitudes must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -56,27 +46,26 @@ class WorkerSpec:
     wby: float = 1.0
 
 
-@dataclass
-class WorkerState:
-    """Mutable per-worker state carried across rounds."""
+@dataclass(frozen=True)
+class ExactState:
+    """Hashable chain state: <p_a, aud, p_c*, v*, beta*>.
 
-    wtype: WorkerType
-    p_c: float
-    v: int = 0
-    beta: float = 0.0
-    aspiration: float = 0.1
-    wby: float = 1.0
+    The sampling engine steps it with raw floats; the exact oracle merges
+    states reached along different paths through `canonical`.
+    """
 
+    p_a: float
+    aud: int
+    p_c: tuple
+    v: tuple
+    beta: tuple
 
-@dataclass
-class MasterState:
-    """Master-side state: audit probability, count and its learning knobs."""
-
-    p_a: float = 0.5
-    aud: int = 0
-    p_a_min: float = 0.01
-    tau: float = 0.5
-    alpha_m: float = 0.1
+    def canonical(self) -> "ExactState":
+        """The state rounded to `GRID_DECIMALS` decimals."""
+        return ExactState(p_a=round(self.p_a, GRID_DECIMALS), aud=self.aud,
+                          p_c=tuple(round(p, GRID_DECIMALS) for p in self.p_c),
+                          v=self.v,
+                          beta=tuple(round(b, GRID_DECIMALS) for b in self.beta))
 
 
 @dataclass(frozen=True)
@@ -159,6 +148,8 @@ class SystemConfig:
     def validate(self):
         if not self.workers:
             raise ConfigError("at least one worker is required")
+        if not self.seeds:
+            raise ConfigError("at least one seed is required")
         if self.horizon < 0:
             raise ConfigError("horizon must be non-negative")
         if not 0.0 <= self.p_a_min <= 1.0:
@@ -181,39 +172,27 @@ class SystemConfig:
                 raise ConfigError(f"role change targets unknown worker {rc.worker}")
             if rc.round < 0:
                 raise ConfigError("role change round must be non-negative")
-        rep.validate_scheme(self.scheme)
         return self
 
     @property
     def n(self) -> int:
         return len(self.workers)
 
-    def initial_workers(self) -> list:
-        beta0 = getattr(self.scheme, "beta_init", 0.0)
-        out = []
-        for spec in self.workers:
-            p_c = FIXED_PC.get(spec.wtype, spec.p_c0)
-            out.append(WorkerState(wtype=spec.wtype, p_c=p_c, v=0, beta=beta0,
-                                   aspiration=spec.aspiration, wby=spec.wby))
-        return out
-
-    def initial_master(self) -> MasterState:
-        return MasterState(p_a=self.p_a0, aud=0, p_a_min=self.p_a_min,
-                           tau=self.tau, alpha_m=self.alpha_m)
+    def initial_state(self) -> ExactState:
+        """Round-0 chain state: predefined types pin p_c, beta starts at the
+        scheme's initial error rate."""
+        n = self.n
+        return ExactState(p_a=self.p_a0, aud=0,
+                          p_c=tuple(FIXED_PC.get(w.wtype, w.p_c0) for w in self.workers),
+                          v=(0,) * n, beta=(self.scheme.beta_init,) * n)
 
     # -- plain-text serialization ------------------------------------------
 
     def to_text(self) -> str:
-        lines = [
-            f"scheme = {rep.scheme_name(self.scheme)}",
-        ]
-        if isinstance(self.scheme, rep.Type2):
-            lines.append(f"epsilon = {self.scheme.epsilon:.10g}")
-        if isinstance(self.scheme, rep.Type3):
-            lines.append(f"error_bound = {self.scheme.error_bound:.10g}")
-            lines.append(f"beta_init = {self.scheme.beta_init:.10g}")
-            lines.append(f"beta_decay = {self.scheme.decay:.10g}")
-            lines.append(f"beta_increment = {self.scheme.increment:.10g}")
+        scheme = self.scheme
+        lines = [f"scheme = {scheme.name}"]
+        lines += [f"{key} = {getattr(scheme, attr):.10g}"
+                  for key, attr in rep.scheme_params(scheme).items()]
         lines += [
             f"horizon = {self.horizon}",
             f"p_a = {self.p_a0:.10g}",
@@ -238,7 +217,7 @@ class SystemConfig:
     @classmethod
     def from_text(cls, text: str) -> "SystemConfig":
         """Parse the key/value config format (see README for the schema)."""
-        raw: dict = {}
+        raw: dict = {}   # key -> (value, line number)
         workers: list = []
         role_changes: list = []
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -252,16 +231,24 @@ class SystemConfig:
                 workers.extend(_parse_worker(value, lineno))
             elif key == "role_change":
                 role_changes.append(_parse_role_change(value, lineno))
+            elif key in raw:
+                raise ConfigError(f"line {lineno}: {key!r} is already set "
+                                  f"on line {raw[key][1]}")
             else:
-                raw[key] = value
-        scheme = rep.scheme_from_name(
-            raw.pop("scheme", "type2"),
-            epsilon=float(raw.pop("epsilon", 0.5)),
-            error_bound=float(raw.pop("error_bound", 0.05)),
-            beta_init=float(raw.pop("beta_init", 0.1)),
-            decay=float(raw.pop("beta_decay", 0.95)),
-            increment=float(raw.pop("beta_increment", 0.1)),
-        )
+                raw[key] = (value, lineno)
+        name, lineno = raw.pop("scheme", ("type2", 0))
+        try:
+            scheme_cls = rep.scheme_class(name)
+            takes = rep.scheme_params(scheme_cls)
+            params = {}
+            for key in [k for k in raw if k in rep.PARAM_KEYS]:
+                value, lineno = raw.pop(key)
+                if key not in takes:
+                    raise ConfigError(f"scheme {scheme_cls.name} takes no {key!r}")
+                params[takes[key]] = float(value)
+            scheme = scheme_cls(**params)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
         cfg = cls(scheme=scheme)
         if workers:
             cfg.workers = workers
@@ -272,13 +259,15 @@ class SystemConfig:
             "alpha_m": float, "alpha_w": float, "wpc": float, "wct": float,
         }
         rename = {"p_a": "p_a0"}
-        for key, value in raw.items():
+        for key, (value, lineno) in raw.items():
             if key == "seeds":
                 cfg.seeds = tuple(int(tok) for tok in value.replace(",", " ").split())
+                if not cfg.seeds:
+                    raise ConfigError(f"line {lineno}: seeds needs at least one seed")
             elif key in simple:
                 setattr(cfg, rename.get(key, key), simple[key](value))
             else:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         return cfg.validate()
 
     @classmethod
@@ -294,6 +283,8 @@ def _parse_worker(value: str, lineno: int) -> list:
     count = 1
     if len(toks) > 1 and toks[-1].startswith("x") and toks[-1][1:].isdigit():
         count = int(toks.pop()[1:])
+        if count < 1:
+            raise ConfigError(f"line {lineno}: worker repeat count must be at least 1")
     try:
         wtype = WorkerType(toks[0])
     except ValueError:

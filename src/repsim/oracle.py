@@ -16,9 +16,8 @@ from typing import Callable, Optional
 from scipy import stats
 
 from . import engine
-from .model import MasterState, SystemConfig, WorkerState, WorkerType
+from .model import ExactState, SystemConfig
 
-GRID_DECIMALS = 12
 PROB_TOL = 1e-12
 DEFAULT_MAX_WORKERS = 10
 
@@ -31,35 +30,6 @@ class OracleBoundError(RuntimeError):
         self.lower_bound = lower_bound
 
 
-def _grid(x: float) -> float:
-    return round(x, GRID_DECIMALS)
-
-
-@dataclass(frozen=True)
-class ExactState:
-    """Hashable chain state: <p_a, aud, p_c*, v*, beta*>."""
-
-    p_a: float
-    aud: int
-    p_c: tuple
-    v: tuple
-    beta: tuple
-
-    def canonical(self) -> "ExactState":
-        return ExactState(p_a=_grid(self.p_a), aud=self.aud,
-                          p_c=tuple(_grid(p) for p in self.p_c),
-                          v=self.v, beta=tuple(_grid(b) for b in self.beta))
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One stochastic outcome of a round: who cheated, audit and tie result."""
-
-    cheaters: frozenset
-    audited: bool
-    tie_outcome: Optional[bool] = None   # honest camp won the coin flip
-
-
 @dataclass
 class TransitionDistribution:
     state: ExactState
@@ -68,33 +38,9 @@ class TransitionDistribution:
     def total(self) -> float:
         return sum(p for p, _, _ in self.successors)
 
-    def support(self) -> set:
-        return {s for _, _, s in self.successors}
-
 
 def state_from_config(config: SystemConfig) -> ExactState:
-    workers = config.initial_workers()
-    return ExactState(p_a=config.p_a0, aud=0,
-                      p_c=tuple(w.p_c for w in workers),
-                      v=tuple(w.v for w in workers),
-                      beta=tuple(w.beta for w in workers)).canonical()
-
-
-def _to_engine(config: SystemConfig, state: ExactState):
-    master = MasterState(p_a=state.p_a, aud=state.aud, p_a_min=config.p_a_min,
-                         tau=config.tau, alpha_m=config.alpha_m)
-    workers = [WorkerState(wtype=spec.wtype, p_c=state.p_c[i], v=state.v[i],
-                           beta=state.beta[i], aspiration=spec.aspiration,
-                           wby=spec.wby)
-               for i, spec in enumerate(config.workers)]
-    return master, workers
-
-
-def _from_engine(master: MasterState, workers) -> ExactState:
-    return ExactState(p_a=master.p_a, aud=master.aud,
-                      p_c=tuple(w.p_c for w in workers),
-                      v=tuple(w.v for w in workers),
-                      beta=tuple(w.beta for w in workers)).canonical()
+    return config.initial_state().canonical()
 
 
 def cheater_set_probabilities(state: ExactState):
@@ -117,36 +63,38 @@ def enumerate_transitions(config: SystemConfig, state: ExactState,
     """Exact one-step distribution from `state`.
 
     Ties in the unaudited weighted majority split into two half-probability
-    branches instead of consuming randomness.
+    branches instead of consuming randomness.  Raises RuntimeError when the
+    branch masses miss 1 by more than PROB_TOL.
     """
     n = len(config.workers)
     if n > max_workers:
         raise OracleBoundError(f"roster of {n} exceeds the enumeration "
                                f"bound of {max_workers} workers")
     state = state.canonical()
-    master, workers = _to_engine(config, state)
     successors = []
 
-    def add(prob, branch, tie_coin=None):
-        new_master, new_workers, _ = engine.round_successor(
-            config, master, workers, branch.cheaters, branch.audited, tie_coin)
-        successors.append((prob, branch, _from_engine(new_master, new_workers)))
+    def step(cheaters, audited, honest_wins=True):
+        succ, branch, _ = engine.round_successor(config, state, cheaters, audited,
+                                                 lambda: honest_wins)
+        return branch, succ.canonical()
 
     for cheaters, p_f in cheater_set_probabilities(state):
         if state.p_a > 0.0:
-            add(state.p_a * p_f, Branch(cheaters, audited=True))
+            successors.append((state.p_a * p_f, *step(cheaters, True)))
         p_no_audit = (1.0 - state.p_a) * p_f
         if p_no_audit > 0.0:
-            _, _, tie = engine.weighted_majority(config.scheme, workers,
-                                                 master.aud, cheaters)
-            if tie:
-                add(0.5 * p_no_audit, Branch(cheaters, False, True), tie_coin=True)
-                add(0.5 * p_no_audit, Branch(cheaters, False, False), tie_coin=False)
+            branch, succ = step(cheaters, False)
+            if branch.tie_outcome is None:
+                successors.append((p_no_audit, branch, succ))
             else:
-                add(p_no_audit, Branch(cheaters, audited=False))
+                successors.append((0.5 * p_no_audit, branch, succ))
+                successors.append((0.5 * p_no_audit,
+                                   *step(cheaters, False, honest_wins=False)))
 
     dist = TransitionDistribution(state=state, successors=successors)
-    assert abs(dist.total() - 1.0) <= PROB_TOL
+    total = dist.total()
+    if abs(total - 1.0) > PROB_TOL:
+        raise RuntimeError(f"successor mass {total!r} is not 1 within {PROB_TOL}")
     return dist
 
 
@@ -221,29 +169,20 @@ def check_closed(config: SystemConfig, seeds, predicate,
     return find_escape(config, seeds, predicate, max_states, project) is None
 
 
-def _branch_key(outcome) -> tuple:
-    tie = outcome.accepted_correct if outcome.tie_broken else None
-    return (outcome.cheater_set, outcome.audited, tie)
-
-
 def sample_round_keys(config: SystemConfig, state: ExactState, samples: int,
                       seed: int = 0, p_a_scale: float = 1.0) -> dict:
-    """Engine one-round outcomes from `state`, binned by (F, audited, tie).
+    """Engine one-round outcomes from `state`, counted by Branch.
 
     `p_a_scale` deliberately mis-scales the audit probability; anything but
     1.0 yields a corrupted sampler for mutation testing.
     """
-    master0, workers0 = _to_engine(config, state.canonical())
-    master0 = replace(master0, p_a=min(1.0, master0.p_a * p_a_scale))
+    state = state.canonical()
+    state = replace(state, p_a=min(1.0, state.p_a * p_a_scale))
     rng = random.Random(seed)
     counts: dict = {}
     for _ in range(samples):
-        sim = engine.SimulationState(master=replace(master0),
-                                     workers=[replace(w) for w in workers0],
-                                     round=0, rng=rng)
-        outcome = engine.run_round(sim, config)
-        key = _branch_key(outcome)
-        counts[key] = counts.get(key, 0) + 1
+        _, branch, _ = engine.run_round(config, state, rng)
+        counts[branch] = counts.get(branch, 0) + 1
     return counts
 
 
@@ -262,15 +201,14 @@ def compare_engine_distribution(config: SystemConfig, state: ExactState,
                                 counts: Optional[dict] = None) -> FitReport:
     """Chi-square goodness of fit of engine sampling vs. exact enumeration.
 
-    Branches are keyed by (cheater set, audited, tie outcome).  Bins with
+    Bins are the branches (cheater set, audited, tie outcome).  Bins with
     expected count below 5 are pooled before the test.  Pass `counts` to
     test a pre-binned (possibly corrupted) sample instead of the engine's.
     """
     state = state.canonical()
     expected_probs: dict = {}
     for prob, branch, _ in enumerate_transitions(config, state).successors:
-        key = (branch.cheaters, branch.audited, branch.tie_outcome)
-        expected_probs[key] = expected_probs.get(key, 0.0) + prob
+        expected_probs[branch] = expected_probs.get(branch, 0.0) + prob
     if counts is None:
         counts = sample_round_keys(config, state, samples, seed=seed)
     total = sum(counts.values())

@@ -16,66 +16,105 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class Type1:
-    pass
+class Scheme:
+    """What every scheme shares: no error rate, and audits leave it alone.
+
+    A scheme is a frozen dataclass whose fields are its parameters (with
+    their defaults), whose class attribute `name` is its config name, and
+    whose `formula` gives the reputation once at least one audit happened.
+    A field's `key` metadata names it in config files when that differs
+    from the field name.
+    """
+
+    beta_init = 0.0
+
+    def beta_update(self, beta: float, truthful: bool) -> float:
+        return beta
 
 
 @dataclass(frozen=True)
-class Type2:
+class Type1(Scheme):
+    name = "type1"
+
+    def formula(self, v: int, aud: int, beta: float) -> float:
+        return (v + 1) / (aud + 2)
+
+
+@dataclass(frozen=True)
+class Type2(Scheme):
+    name = "type2"
     epsilon: float = 0.5
 
+    def __post_init__(self):
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError("type 2 epsilon must lie strictly inside (0, 1)")
+
+    def formula(self, v: int, aud: int, beta: float) -> float:
+        return self.epsilon ** (aud - v)
+
 
 @dataclass(frozen=True)
-class Type3:
+class Type3(Scheme):
+    name = "type3"
     error_bound: float = 0.05
     beta_init: float = 0.1
-    decay: float = 0.95
-    increment: float = 0.1
+    decay: float = field(default=0.95, metadata={"key": "beta_decay"})
+    increment: float = field(default=0.1, metadata={"key": "beta_increment"})
+
+    def __post_init__(self):
+        if self.error_bound <= 0:
+            raise ValueError("type 3 error bound must be positive")
+        if self.beta_init < 0:
+            raise ValueError("type 3 initial error rate must be non-negative")
+
+    def formula(self, v: int, aud: int, beta: float) -> float:
+        if beta > self.error_bound:
+            return 0.001
+        return 1.0 - math.sqrt(beta / self.error_bound)
+
+    def beta_update(self, beta: float, truthful: bool) -> float:
+        return beta * self.decay if truthful else beta + self.increment
 
 
 @dataclass(frozen=True)
-class NoReputation:
-    pass
+class NoReputation(Scheme):
+    name = "none"
+
+    def formula(self, v: int, aud: int, beta: float) -> float:
+        return 0.5
 
 
-SCHEME_NAMES = ("type1", "type2", "type3", "none")
+_CLASSES = {cls.name: cls for cls in (Type1, Type2, Type3, NoReputation)}
+SCHEME_NAMES = tuple(_CLASSES)
 
 
-def scheme_from_name(name: str, *, epsilon: float = 0.5, error_bound: float = 0.05,
-                     beta_init: float = 0.1, decay: float = 0.95,
-                     increment: float = 0.1):
-    name = name.strip().lower()
-    if name == "type1":
-        return Type1()
-    if name == "type2":
-        return Type2(epsilon=epsilon)
-    if name == "type3":
-        return Type3(error_bound=error_bound, beta_init=beta_init,
-                     decay=decay, increment=increment)
-    if name == "none":
-        return NoReputation()
-    raise ValueError(f"unknown reputation scheme {name!r}; choose from {SCHEME_NAMES}")
+def scheme_params(scheme) -> dict:
+    """Config key -> field name for every parameter of a scheme or its class."""
+    return {f.metadata.get("key", f.name): f.name for f in fields(scheme)}
 
 
-def scheme_name(scheme) -> str:
-    return {Type1: "type1", Type2: "type2", Type3: "type3",
-            NoReputation: "none"}[type(scheme)]
+#: Config keys of every scheme's parameters.
+PARAM_KEYS = frozenset(key for cls in _CLASSES.values() for key in scheme_params(cls))
 
 
-def validate_scheme(scheme):
-    if isinstance(scheme, Type2) and not 0.0 < scheme.epsilon < 1.0:
-        raise ValueError("type 2 epsilon must lie strictly inside (0, 1)")
-    if isinstance(scheme, Type3):
-        if scheme.error_bound <= 0:
-            raise ValueError("type 3 error bound must be positive")
-        if scheme.beta_init < 0:
-            raise ValueError("type 3 initial error rate must be non-negative")
-    return scheme
+def scheme_class(name: str):
+    cls = _CLASSES.get(name.strip().lower())
+    if cls is None:
+        raise ValueError(f"unknown reputation scheme {name!r}; choose from {SCHEME_NAMES}")
+    return cls
+
+
+def scheme_from_name(name: str, **params):
+    """The named scheme; parameters not given keep the class defaults."""
+    cls = scheme_class(name)
+    extra = sorted(set(params) - {f.name for f in fields(cls)})
+    if extra:
+        raise ValueError(f"scheme {cls.name} takes no parameter {extra[0]!r}")
+    return cls(**params)
 
 
 def value(scheme, v: int, aud: int, beta: float = 0.0) -> float:
@@ -86,28 +125,12 @@ def value(scheme, v: int, aud: int, beta: float = 0.0) -> float:
     """
     if v > aud:
         raise ValueError(f"validation count {v} exceeds audit count {aud}")
-    if isinstance(scheme, Type1):
-        return (v + 1) / (aud + 2)
-    if isinstance(scheme, Type2):
-        return 0.5 if aud == 0 else scheme.epsilon ** (aud - v)
-    if isinstance(scheme, Type3):
-        if aud == 0:
-            return 0.5
-        if beta > scheme.error_bound:
-            return 0.001
-        return 1.0 - math.sqrt(beta / scheme.error_bound)
-    if isinstance(scheme, NoReputation):
-        return 0.5
-    raise TypeError(f"not a reputation scheme: {scheme!r}")
+    return 0.5 if aud == 0 else scheme.formula(v, aud, beta)
 
 
 def audit_update(scheme, v: int, beta: float, truthful: bool):
     """Post-audit counts for one worker: returns (v', beta')."""
-    if truthful:
-        v += 1
-    if isinstance(scheme, Type3):
-        beta = beta * scheme.decay if truthful else beta + scheme.increment
-    return v, beta
+    return v + truthful, scheme.beta_update(beta, truthful)
 
 
 def aggregate(scheme, members: Iterable, aud: int) -> float:
@@ -126,9 +149,8 @@ def check_property1(scheme, x_size: int, y_size: int, horizon: int,
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    beta0 = getattr(scheme, "beta_init", 0.0)
-    x = [(0, beta0)] * x_size
-    y = [(0, beta0)] * y_size
+    x = [(0, scheme.beta_init)] * x_size
+    y = [(0, scheme.beta_init)] * y_size
     last_violation = 0
     for r in range(1, horizon + 1):
         x_truthful = r > prefix_cheats_x

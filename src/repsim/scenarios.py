@@ -12,9 +12,7 @@ from dataclasses import replace
 
 from . import metrics, reputation as rep
 from .engine import run_simulation
-from .model import RoleChange, SystemConfig, WorkerSpec, WorkerType
-
-SCHEMES = ("type1", "type2", "type3", "none")
+from .model import ExactState, RoleChange, SystemConfig, WorkerSpec, WorkerType
 
 #: Initial cheat probability used by the partial-coverage presets: the
 #: exponential scheme is exercised from the worst case, the others from 0.5.
@@ -39,7 +37,7 @@ def _build_catalog():
     cat = {}
     rat, mal, alt = WorkerType.RATIONAL, WorkerType.MALICIOUS, WorkerType.ALTRUISTIC
 
-    for scheme in SCHEMES:
+    for scheme in rep.SCHEME_NAMES:
         for p_c0, tag in ((0.5, "pc05"), (1.0, "pc1")):
             cat[f"rational9-{scheme}-{tag}"] = _config(
                 scheme, _workers([(rat, 9, p_c0, 1.0)]))
@@ -110,3 +108,17 @@ def run_scenario(name_or_config, seeds=None):
         config = replace(config, seeds=tuple(seeds))
     traces = {seed: run_simulation(config, seed) for seed in config.seeds}
     return metrics.summarize(name, config, traces), traces
+
+
+def all_cheat_trap():
+    """The all-cheat trap without an audit floor: (config, trap, predicate).
+
+    Three rational workers under type 2 with p_a and its floor at 0: once
+    every worker cheats with certainty, no audit ever happens again, so the
+    set `predicate` describes is closed, and it is reachable from the
+    config's p_c = 0.5 start.
+    """
+    config = SystemConfig(workers=[WorkerSpec(p_c0=0.5) for _ in range(3)],
+                          scheme=rep.Type2(), p_a0=0.0, p_a_min=0.0).validate()
+    trap = ExactState(p_a=0.0, aud=0, p_c=(1.0,) * 3, v=(0,) * 3, beta=(0.0,) * 3)
+    return config, trap, lambda s: s.p_a == 0.0 and all(p == 1.0 for p in s.p_c)

@@ -6,15 +6,13 @@ than by calling back into the code under test.
 """
 import functools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from repsim import cli, engine, metrics, oracle, reputation as rep, scenarios
-from repsim.model import SystemConfig, WorkerSpec, WorkerType
-from repsim.oracle import ExactState
+from repsim.model import SystemConfig, WorkerSpec
 
 EXACT = 1e-12
 
@@ -95,10 +93,9 @@ def test_cheat_probability_transition_deltas():
     cfg = SystemConfig(workers=[WorkerSpec(p_c0=0.5) for _ in range(3)],
                        scheme=rep.NoReputation()).validate()
     for cheaters, audited, idx, delta in cases:
-        _, workers, _ = engine.round_successor(
-            cfg, cfg.initial_master(), cfg.initial_workers(),
-            cheaters, audited)
-        assert abs(workers[idx].p_c - (0.5 + delta)) < EXACT, (cheaters, audited, idx)
+        state, _, _ = engine.round_successor(cfg, cfg.initial_state(),
+                                             cheaters, audited)
+        assert abs(state.p_c[idx] - (0.5 + delta)) < EXACT, (cheaters, audited, idx)
 
 
 # -- 3. ordering properties -------------------------------------------------
@@ -118,23 +115,12 @@ def test_limit_ordering_and_its_preservation():
 
 # -- 4. the all-cheat trap without an audit floor ---------------------------
 
-def lemma_config():
-    return SystemConfig(workers=[WorkerSpec(p_c0=0.5) for _ in range(3)],
-                        scheme=rep.Type2(), p_a0=0.0, p_a_min=0.0).validate()
-
-
 def test_all_cheat_set_closed_and_reachable():
-    cfg = lemma_config()
-    all_cheat = ExactState(p_a=0.0, aud=0, p_c=(1.0, 1.0, 1.0),
-                           v=(0, 0, 0), beta=(0.0, 0.0, 0.0))
-    assert oracle.check_closed(
-        cfg, [all_cheat],
-        lambda s: s.p_a == 0.0 and all(p == 1.0 for p in s.p_c))
+    cfg, trap, trapped = scenarios.all_cheat_trap()
+    assert oracle.check_closed(cfg, [trap], trapped)
     try:
-        prob = oracle.reach_probability(
-            cfg, oracle.state_from_config(cfg),
-            lambda s: all(p == 1.0 for p in s.p_c),
-            horizon=200, max_states=5000)
+        prob = oracle.reach_probability(cfg, oracle.state_from_config(cfg),
+                                        trapped, horizon=200, max_states=5000)
     except oracle.OracleBoundError as exc:
         prob = exc.lower_bound
     assert prob > 0.0

@@ -81,6 +81,29 @@ def test_config_file_run(tmp_path):
     assert (tmp_path / "out" / "trace_seed2.csv").exists()
 
 
+@pytest.mark.parametrize("extra,epsilon", [
+    (("--epsilon", "0.5"), "0.5"),
+    (("--scheme", "type2"), "0.3"),
+    (("--scheme", "type2", "--epsilon", "0.25"), "0.25"),
+], ids=["epsilon-overrides-config", "scheme-keeps-epsilon", "both"])
+def test_epsilon_override_against_config(tmp_path, extra, epsilon):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("scheme = type2\nepsilon = 0.3\nhorizon = 20\nseeds = 1\n")
+    assert run_cli("run", "--config", str(cfg), *extra,
+                   "--out", str(tmp_path / "out")) == 0
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    assert f"epsilon = {epsilon}\n" in manifest
+
+
+def test_bad_config_is_reported_not_raised(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("horizon = 20\nseeds =\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+    assert "line 2" in capsys.readouterr().err
+    assert run_cli("run", "--scenario", "rational9-type1-pc05", "--epsilon", "0.3",
+                   "--out", str(tmp_path / "out")) == 1
+
+
 @pytest.mark.parametrize("suite", ["property2", "closed-sets"])
 def test_verify_suites_pass(suite):
     assert run_cli("verify", suite) == 0

@@ -1,19 +1,19 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repsim import engine
-from repsim.model import MasterState, RoleChange, WorkerSpec, WorkerType
+from repsim import engine, reputation as rep
+from repsim.model import RoleChange, SystemConfig, WorkerSpec, WorkerType
 from conftest import make_config
 
 TOL = 1e-12
 
 
 def successor(cfg, cheaters, audited, tie_coin=None):
-    return engine.round_successor(cfg, cfg.initial_master(),
-                                  cfg.initial_workers(),
-                                  frozenset(cheaters), audited, tie_coin)
+    return engine.round_successor(cfg, cfg.initial_state(), frozenset(cheaters),
+                                  audited, tie_coin)
 
 
 class TestLearningDeltas:
@@ -36,55 +36,66 @@ class TestLearningDeltas:
     @pytest.mark.parametrize("cheaters,audited,idx,delta", CASES)
     def test_delta(self, cheaters, audited, idx, delta):
         cfg = make_config(n=3, scheme="none", p_c0=0.5)
-        _, workers, _ = successor(cfg, cheaters, audited)
-        assert abs(workers[idx].p_c - (0.5 + delta)) < TOL
+        state, _, _ = successor(cfg, cheaters, audited)
+        assert abs(state.p_c[idx] - (0.5 + delta)) < TOL
 
     def test_punishment_deepens_caught_penalty(self):
         cfg = make_config(n=3, scheme="none", p_c0=0.5, wpc=1.0)
-        _, workers, _ = successor(cfg, {0}, True)
-        assert abs(workers[0].p_c - (0.5 - 0.11)) < TOL
+        state, _, _ = successor(cfg, {0}, True)
+        assert abs(state.p_c[0] - (0.5 - 0.11)) < TOL
 
     def test_probabilities_clamped(self):
         cfg = make_config(n=3, scheme="none", p_c0=0.995)
-        _, workers, _ = successor(cfg, {0, 1}, False)
-        assert workers[0].p_c == 1.0
+        state, _, _ = successor(cfg, {0, 1}, False)
+        assert state.p_c[0] == 1.0
         low = make_config(n=3, scheme="none", p_c0=0.005)
-        _, workers, _ = successor(low, {0}, True)
-        assert workers[1].p_c == 0.0
+        state, _, _ = successor(low, {0}, True)
+        assert state.p_c[1] == 0.0
 
     def test_non_rational_workers_never_learn(self):
         cfg = make_config(n=3, scheme="none")
         cfg.workers[0] = WorkerSpec(wtype=WorkerType.MALICIOUS)
         cfg.workers[1] = WorkerSpec(wtype=WorkerType.ALTRUISTIC)
-        _, workers, _ = successor(cfg, {0}, True)
-        assert workers[0].p_c == 1.0
-        assert workers[1].p_c == 0.0
+        state, _, _ = successor(cfg, {0}, True)
+        assert state.p_c[0] == 1.0
+        assert state.p_c[1] == 0.0
 
 
 class TestMasterUpdate:
     def test_reinforcement(self):
-        m = MasterState(p_a=0.5, aud=3, tau=0.5, alpha_m=0.1)
-        out = engine.master_update(m, rho_cheat=0.9, rho_total=1.0)
-        assert abs(out.p_a - (0.5 + 0.1 * (0.9 - 0.5))) < TOL
-        assert out.aud == 4
+        cfg = SystemConfig(tau=0.5, alpha_m=0.1)
+        p_a = engine.master_update(cfg, 0.5, rho_cheat=0.9, rho_total=1.0)
+        assert abs(p_a - (0.5 + 0.1 * (0.9 - 0.5))) < TOL
 
     def test_floor_and_ceiling(self):
-        m = MasterState(p_a=0.011, aud=0, p_a_min=0.01, tau=0.5, alpha_m=0.1)
-        assert engine.master_update(m, 0.0, 1.0).p_a == 0.01
-        m = MasterState(p_a=0.99, aud=0, tau=0.0, alpha_m=1.0)
-        assert engine.master_update(m, 1.0, 1.0).p_a == 1.0
+        cfg = SystemConfig(p_a_min=0.01, tau=0.5, alpha_m=0.1)
+        assert engine.master_update(cfg, 0.011, 0.0, 1.0) == 0.01
+        cfg = SystemConfig(tau=0.0, alpha_m=1.0)
+        assert engine.master_update(cfg, 0.99, 1.0, 1.0) == 1.0
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
-            engine.master_update(MasterState(), 0.0, 0.0)
+            engine.master_update(SystemConfig(), 0.5, 0.0, 0.0)
 
     def test_audit_refreshes_reputations_before_ratio(self):
         # first audit, worker 0 caught: the ratio uses the post-audit values
         # 0.5/(0.5+1), not the uniform pre-audit 0.5/1.0
         cfg = make_config(n=2, scheme="type2", p_c0=0.5)
-        master, workers, _ = successor(cfg, {0}, True)
-        assert abs(master.p_a - 0.48333333333333334) < TOL
-        assert (workers[0].v, workers[1].v) == (0, 1)
+        state, _, _ = successor(cfg, {0}, True)
+        assert abs(state.p_a - 0.48333333333333334) < TOL
+        assert state.aud == 1
+        assert state.v == (0, 1)
+
+    def test_underflowed_type2_share_stays_exact(self):
+        # 3 malicious workers: every reputation is 0.5**aud, which reaches
+        # 0.0 after ~1075 audits; the cheaters' share must still read 1
+        cfg = SystemConfig(workers=[WorkerSpec(WorkerType.MALICIOUS, 1.0)] * 3,
+                           scheme=rep.Type2(), horizon=1500, seeds=(1,)).validate()
+        trace = engine.run_simulation(cfg, seed=1)
+        assert len(trace) == 1500
+        assert all(r == 0.0 for r in trace[-1].reputations_after)
+        assert all(cfg.p_a_min <= o.p_a_after <= 1.0 for o in trace)
+        assert trace[-1].p_a_after == 1.0
 
 
 class TestRoundRng:
@@ -92,23 +103,23 @@ class TestRoundRng:
 
     def test_no_tie_draw_count(self):
         cfg = make_config(n=3, scheme="none", p_c0=0.0, p_a0=0.5)
-        state = engine.initial_state(cfg, seed=11)
-        engine.run_round(state, cfg)
+        rng = random.Random(11)
+        engine.run_round(cfg, cfg.initial_state(), rng)
         mirror = random.Random(11)
         for _ in range(4):
             mirror.random()
-        assert state.rng.random() == mirror.random()
+        assert rng.random() == mirror.random()
 
     def test_tie_consumes_extra_draw(self):
         cfg = make_config(n=2, scheme="none", p_c0=1.0, p_a0=0.0, p_a_min=0.0)
         cfg.workers[1] = WorkerSpec(wtype=WorkerType.ALTRUISTIC)
-        state = engine.initial_state(cfg, seed=11)
-        out = engine.run_round(state, cfg)
-        assert out.tie_broken
+        rng = random.Random(11)
+        _, branch, out = engine.run_round(cfg, cfg.initial_state(), rng)
+        assert out.tie_broken and branch.tie_outcome is not None
         mirror = random.Random(11)
         for _ in range(4):
             mirror.random()
-        assert state.rng.random() == mirror.random()
+        assert rng.random() == mirror.random()
 
     def test_missing_tie_coin_rejected(self):
         cfg = make_config(n=2, scheme="none")
@@ -120,12 +131,13 @@ def test_role_change_keeps_audit_record():
     cfg = make_config(n=2, scheme="type2", p_c0=0.3)
     cfg.role_changes = [RoleChange(round=0, worker=0,
                                    new_type=WorkerType.MALICIOUS)]
-    state = engine.initial_state(cfg, seed=1)
-    state.workers[0].v = 4
-    engine.apply_role_changes(state, cfg)
-    assert state.workers[0].wtype is WorkerType.MALICIOUS
-    assert state.workers[0].p_c == 1.0
-    assert state.workers[0].v == 4
+    state = replace(cfg.initial_state(), aud=4, v=(4, 2))
+    new_cfg, new_state = engine.apply_role_changes(cfg, state, 0)
+    assert new_cfg.workers[0].wtype is WorkerType.MALICIOUS
+    assert cfg.workers[0].wtype is WorkerType.RATIONAL
+    assert new_state.p_c == (1.0, 0.3)
+    assert new_state.v == (4, 2) and new_state.aud == 4
+    assert engine.apply_role_changes(cfg, state, 1) == (cfg, state)
 
 
 def test_run_simulation_deterministic():

@@ -1,6 +1,6 @@
 import pytest
 
-from repsim.model import (ConfigError, PayoffParams, RoleChange, SystemConfig,
+from repsim.model import (ConfigError, ExactState, RoleChange, SystemConfig,
                           WorkerSpec, WorkerType, clamp, compute_payoffs,
                           is_covered)
 from repsim import reputation as rep
@@ -10,11 +10,6 @@ def test_clamp():
     assert clamp(0.5, 0.0, 1.0) == 0.5
     assert clamp(-3.0, 0.0, 1.0) == 0.0
     assert clamp(7.0, 0.0, 1.0) == 1.0
-
-
-def test_payoff_params_reject_negative():
-    with pytest.raises(ConfigError):
-        PayoffParams(wpc=-1.0)
 
 
 class TestComputePayoffs:
@@ -61,6 +56,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SystemConfig(workers=[]).validate()
 
+    @pytest.mark.parametrize("knob", ["wpc", "wct"])
+    def test_negative_payoff_magnitude(self, knob):
+        with pytest.raises(ConfigError):
+            SystemConfig(**{knob: -1.0}).validate()
+
+    def test_empty_seed_list(self):
+        with pytest.raises(ConfigError):
+            SystemConfig(seeds=()).validate()
+
     def test_role_change_bounds(self):
         cfg = SystemConfig(role_changes=[RoleChange(10, 99, WorkerType.MALICIOUS)])
         with pytest.raises(ConfigError):
@@ -72,9 +76,10 @@ def test_initial_workers_fix_pc_and_beta():
                                 WorkerSpec(wtype=WorkerType.ALTRUISTIC, p_c0=0.3),
                                 WorkerSpec(wtype=WorkerType.RATIONAL, p_c0=0.3)],
                        scheme=rep.Type3())
-    ws = cfg.initial_workers()
-    assert [w.p_c for w in ws] == [1.0, 0.0, 0.3]
-    assert all(w.beta == 0.1 for w in ws)  # seeded from the scheme's beta_init
+    state = cfg.initial_state()
+    assert state == ExactState(p_a=0.5, aud=0, p_c=(1.0, 0.0, 0.3), v=(0, 0, 0),
+                               beta=(0.1, 0.1, 0.1))  # from the scheme's beta_init
+    assert SystemConfig(scheme=rep.Type2()).initial_state().beta == (0.0,) * 9
 
 
 class TestConfigText:
@@ -112,3 +117,20 @@ class TestConfigText:
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
             SystemConfig.from_text("horizon 7\n")
+
+    @pytest.mark.parametrize("text,line", [
+        ("worker = rational 1.0 x2\nworker = rational x0\n", 2),
+        ("horizon = 5\nseeds =\n", 2),
+        ("seeds = 1\nhorizon = 5\nhorizon = 7\n", 3),
+        ("scheme = type1\nepsilon = 0.3\n", 2),
+        ("beta_decay = 0.9\n", 1),
+        ("scheme = type3\nepsilon = 0.3\n", 2),
+    ], ids=["repeat-count-zero", "empty-seeds", "repeated-key",
+            "type1-epsilon", "type2-beta-decay", "type3-epsilon"])
+    def test_rejected_with_line(self, text, line):
+        with pytest.raises(ConfigError, match=f"^line {line}: "):
+            SystemConfig.from_text(text)
+
+    def test_scheme_parameters_not_given_keep_defaults(self):
+        cfg = SystemConfig.from_text("scheme = type3\nbeta_decay = 0.9\n")
+        assert cfg.scheme == rep.Type3(decay=0.9)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repsim import oracle
+from repsim.engine import Branch
 from repsim.model import WorkerSpec
 from conftest import make_config
 
@@ -53,6 +54,16 @@ class TestEnumeration:
         dist = oracle.enumerate_transitions(cfg, exact_state(cfg))
         outcomes = sorted((b.tie_outcome, p) for p, b, _ in dist.successors)
         assert outcomes == [(False, 0.5), (True, 0.5)]
+
+    def test_mass_defect_raises(self, monkeypatch):
+        # a cheater-set table that loses a tenth of the mass must be caught
+        # by a check that python -O keeps
+        real = oracle.cheater_set_probabilities
+        monkeypatch.setattr(oracle, "cheater_set_probabilities",
+                            lambda state: [(f, 0.9 * p) for f, p in real(state)])
+        cfg = mixed_config()
+        with pytest.raises(RuntimeError, match="mass"):
+            oracle.enumerate_transitions(cfg, exact_state(cfg))
 
     def test_roster_bound(self):
         cfg = make_config(n=3, scheme="none")
@@ -142,6 +153,6 @@ class TestEngineAgreement:
     def test_impossible_outcome_is_certain_failure(self):
         cfg = mixed_config()
         state = exact_state(cfg)
-        counts = {(frozenset({0, 1, 2}), True, True): 100}
+        counts = {Branch(frozenset({0, 1, 2}), True, True): 100}
         report = oracle.compare_engine_distribution(cfg, state, counts=counts)
         assert not report.passed and report.p_value == 0.0

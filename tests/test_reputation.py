@@ -1,4 +1,3 @@
-import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,16 +9,21 @@ TOL = 1e-12
 
 def test_scheme_name_round_trip():
     for name in rep.SCHEME_NAMES:
-        assert rep.scheme_name(rep.scheme_from_name(name)) == name
+        assert rep.scheme_from_name(name).name == name
     with pytest.raises(ValueError):
         rep.scheme_from_name("type9")
+    assert rep.scheme_from_name("type3", decay=0.9) == rep.Type3(decay=0.9)
+    with pytest.raises(ValueError, match="epsilon"):
+        rep.scheme_from_name("type1", epsilon=0.3)
 
 
 def test_validate_scheme_bounds():
     with pytest.raises(ValueError):
-        rep.validate_scheme(rep.Type2(epsilon=1.0))
+        rep.Type2(epsilon=1.0)
     with pytest.raises(ValueError):
-        rep.validate_scheme(rep.Type3(error_bound=0.0))
+        rep.Type3(error_bound=0.0)
+    with pytest.raises(ValueError):
+        rep.scheme_from_name("type3", beta_init=-0.1)
 
 
 class TestValue:
