@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import metrics, oracle, reputation as rep, scenarios
-from .model import ExactState, SystemConfig
+from .model import ExactState, SystemConfig, parse_seeds
 
 FMT = "%.10g"
 
@@ -61,7 +61,7 @@ def write_summary(path: Path, summary, n: int):
 
 def _apply_overrides(config: SystemConfig, args) -> SystemConfig:
     if args.seeds is not None:
-        config.seeds = tuple(int(s) for s in args.seeds.replace(",", " ").split())
+        config.seeds = parse_seeds(args.seeds, "--seeds")
     if args.horizon is not None:
         config.horizon = args.horizon
     if args.scheme is not None or args.epsilon is not None:

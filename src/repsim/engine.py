@@ -41,15 +41,31 @@ def _camp(scheme, v, beta, aud: int, members) -> float:
     return rep.aggregate(scheme, ((v[i], beta[i]) for i in members), aud)
 
 
+def _camp_weights(scheme, v, beta, aud: int, camps):
+    """Aggregate reputation of each camp in `camps` (sequences of worker indices).
+
+    When every camp reads 0.0, every reputation involved underflowed (type 2
+    after ~1075 audits).  Type 2 depends only on aud - v, so reading it at
+    aud = max(v) divides every value by the same eps^(aud - max(v)): the
+    camps keep their ratio, and the camp holding the best-validated worker
+    is positive, so an empty camp never ties a non-empty one.
+    """
+    weights = [_camp(scheme, v, beta, aud, members) for members in camps]
+    if not any(weights):
+        weights = [_camp(scheme, v, beta, max(v), members) for members in camps]
+    return weights
+
+
 def weighted_majority(scheme, state: ExactState, cheaters: frozenset):
     """Aggregate reputations of the two camps.
 
     Returns (rho_honest, rho_cheat, tie).  All cheaters return one identical
     wrong value, so the vote is camp-against-camp.
     """
-    n, v, beta, aud = len(state.v), state.v, state.beta, state.aud
-    rho_honest = _camp(scheme, v, beta, aud, (i for i in range(n) if i not in cheaters))
-    rho_cheat = _camp(scheme, v, beta, aud, (i for i in range(n) if i in cheaters))
+    n = len(state.v)
+    honest = [i for i in range(n) if i not in cheaters]
+    rho_honest, rho_cheat = _camp_weights(scheme, state.v, state.beta, state.aud,
+                                          (honest, sorted(cheaters)))
     return rho_honest, rho_cheat, rho_honest == rho_cheat
 
 
@@ -71,21 +87,6 @@ def worker_update(spec, p_c: float, payoff: float, cheated: bool,
     return clamp(p_c - alpha_w * (payoff - spec.aspiration) * s, 0.0, 1.0)
 
 
-def _audit_weights(scheme, v, beta, aud: int, cheaters: frozenset):
-    """(rho_cheat, rho_total) after an audit, for the master's update."""
-    n = len(v)
-    rho_cheat = _camp(scheme, v, beta, aud, (i for i in range(n) if i in cheaters))
-    rho_total = _camp(scheme, v, beta, aud, range(n))
-    if rho_total == 0.0:
-        # Every reputation underflowed (type 2 after ~1075 audits).  Type 2
-        # depends only on aud - v, so reading it at aud = max(v) divides
-        # every value by the same eps^(aud - max(v)) and keeps the share.
-        aud = max(v)
-        rho_cheat = _camp(scheme, v, beta, aud, (i for i in range(n) if i in cheaters))
-        rho_total = _camp(scheme, v, beta, aud, range(n))
-    return rho_cheat, rho_total
-
-
 def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset,
                     audited: bool, tie_coin=None):
     """Pure one-round transition.
@@ -103,7 +104,8 @@ def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset
                                          truthful=i not in cheaters)
                         for i in range(n)))
         aud = state.aud + 1
-        rho_cheat, rho_total = _audit_weights(scheme, v, beta, aud, cheaters)
+        rho_cheat, rho_total = _camp_weights(scheme, v, beta, aud,
+                                             (sorted(cheaters), range(n)))
         p_a = master_update(config, state.p_a, rho_cheat, rho_total)
         majority = frozenset()
         accepted_correct, branch = True, Branch(cheaters, True)

@@ -150,6 +150,8 @@ class SystemConfig:
             raise ConfigError("at least one worker is required")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seed {_repeated(self.seeds)} is repeated")
         if self.horizon < 0:
             raise ConfigError("horizon must be non-negative")
         if not 0.0 <= self.p_a_min <= 1.0:
@@ -245,7 +247,7 @@ class SystemConfig:
                 value, lineno = raw.pop(key)
                 if key not in takes:
                     raise ConfigError(f"scheme {scheme_cls.name} takes no {key!r}")
-                params[takes[key]] = float(value)
+                params[takes[key]] = _parse_number(float, value, key)
             scheme = scheme_cls(**params)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
@@ -261,11 +263,10 @@ class SystemConfig:
         rename = {"p_a": "p_a0"}
         for key, (value, lineno) in raw.items():
             if key == "seeds":
-                cfg.seeds = tuple(int(tok) for tok in value.replace(",", " ").split())
-                if not cfg.seeds:
-                    raise ConfigError(f"line {lineno}: seeds needs at least one seed")
+                cfg.seeds = parse_seeds(value, f"line {lineno}: seeds")
             elif key in simple:
-                setattr(cfg, rename.get(key, key), simple[key](value))
+                setattr(cfg, rename.get(key, key),
+                        _parse_number(simple[key], value, f"line {lineno}: {key}"))
             else:
                 raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         return cfg.validate()
@@ -309,4 +310,29 @@ def _parse_role_change(value: str, lineno: int) -> RoleChange:
         new_type = WorkerType(toks[2])
     except ValueError:
         raise ConfigError(f"line {lineno}: unknown worker type {toks[2]!r}") from None
-    return RoleChange(round=int(toks[0]), worker=int(toks[1]), new_type=new_type)
+    where = f"line {lineno}: role_change"
+    return RoleChange(round=_parse_number(int, toks[0], where),
+                      worker=_parse_number(int, toks[1], where), new_type=new_type)
+
+
+def _parse_number(kind, text: str, where: str):
+    """`text` read as `kind` (int or float); `where` names it in the error."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: expected {what}, got {text!r}") from None
+
+
+def parse_seeds(text: str, where: str) -> tuple:
+    """Distinct integer seeds from a space- or comma-separated list."""
+    seeds = tuple(_parse_number(int, tok, where) for tok in text.replace(",", " ").split())
+    if not seeds:
+        raise ConfigError(f"{where}: needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{where}: seed {_repeated(seeds)} is repeated")
+    return seeds
+
+
+def _repeated(seeds) -> int:
+    return next(s for k, s in enumerate(seeds) if s in seeds[:k])

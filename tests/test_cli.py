@@ -104,6 +104,17 @@ def test_bad_config_is_reported_not_raised(tmp_path, capsys):
                    "--out", str(tmp_path / "out")) == 1
 
 
+@pytest.mark.parametrize("seeds,message", [
+    ("1 1", "--seeds: seed 1 is repeated"),
+    ("1 x", "--seeds: expected an integer, got 'x'"),
+], ids=["repeated", "malformed"])
+def test_bad_seeds_named_by_flag(tmp_path, capsys, seeds, message):
+    assert run_cli("run", "--scenario", "rational9-type2-pc1", "--horizon", "30",
+                   "--seeds", seeds, "--out", str(tmp_path / "out")) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("suite", ["property2", "closed-sets"])
 def test_verify_suites_pass(suite):
     assert run_cli("verify", suite) == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repsim import engine, reputation as rep
-from repsim.model import RoleChange, SystemConfig, WorkerSpec, WorkerType
+from repsim.model import ExactState, RoleChange, SystemConfig, WorkerSpec, WorkerType
 from conftest import make_config
 
 TOL = 1e-12
@@ -96,6 +96,33 @@ class TestMasterUpdate:
         assert all(r == 0.0 for r in trace[-1].reputations_after)
         assert all(cfg.p_a_min <= o.p_a_after <= 1.0 for o in trace)
         assert trace[-1].p_a_after == 1.0
+
+
+class TestUnderflowedVote:
+    """Once every type 2 reputation reads 0.0, the vote re-reads the camps
+    at aud = max(v) instead of calling a 0.0-vs-0.0 tie."""
+
+    def test_all_cheat_rounds_never_accepted_correct(self):
+        # tau = 1 keeps p_a at 0.5, so unaudited rounds continue after every
+        # reputation has underflowed (from round 2120 on seed 1)
+        cfg = SystemConfig(workers=[WorkerSpec(WorkerType.MALICIOUS, 1.0)] * 3,
+                           scheme=rep.Type2(), tau=1.0, horizon=3000,
+                           seeds=(1,)).validate()
+        trace = engine.run_simulation(cfg, seed=1)
+        assert all(r == 0.0 for r in trace[2120].reputations_after)
+        unaudited = [o for o in trace[2120:] if not o.audited]
+        assert unaudited
+        assert not any(o.accepted_correct or o.tie_broken for o in unaudited)
+
+    def test_best_validated_camp_wins(self):
+        state = ExactState(p_a=0.5, aud=1200, p_c=(0.5,) * 3, v=(5, 3, 3),
+                           beta=(0.0,) * 3)
+        # every reputation underflows, but worker 0's stands 4 to 1 over the others
+        assert rep.value(rep.Type2(), 5, 1200) == 0.0
+        assert engine.weighted_majority(rep.Type2(), state, frozenset({1, 2})) == (
+            1.0, 0.5, False)
+        assert engine.weighted_majority(rep.Type2(), state, frozenset({0, 1, 2})) == (
+            0.0, 1.5, False)
 
 
 class TestRoundRng:

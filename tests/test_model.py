@@ -125,11 +125,27 @@ class TestConfigText:
         ("scheme = type1\nepsilon = 0.3\n", 2),
         ("beta_decay = 0.9\n", 1),
         ("scheme = type3\nepsilon = 0.3\n", 2),
+        ("horizon = 5\nseeds = 1 2 1\n", 2),
+        ("seeds = 1 x\n", 1),
+        ("horizon = 5\nrole_change = 5 x malicious\n", 2),
+        ("horizon = 5.5\n", 1),
+        ("seeds = 1\ntau = half\n", 2),
+        ("scheme = type2\nepsilon = 0,3\n", 2),
     ], ids=["repeat-count-zero", "empty-seeds", "repeated-key",
-            "type1-epsilon", "type2-beta-decay", "type3-epsilon"])
+            "type1-epsilon", "type2-beta-decay", "type3-epsilon",
+            "repeated-seed", "malformed-seed", "malformed-role-change",
+            "malformed-horizon", "malformed-float", "malformed-scheme-parameter"])
     def test_rejected_with_line(self, text, line):
         with pytest.raises(ConfigError, match=f"^line {line}: "):
             SystemConfig.from_text(text)
+
+    def test_malformed_number_named(self):
+        with pytest.raises(ConfigError, match="^line 1: role_change: expected an integer, got 'x'$"):
+            SystemConfig.from_text("role_change = 5 x malicious\n")
+
+    def test_repeated_seeds_rejected_in_code(self):
+        with pytest.raises(ConfigError, match="seed 1 is repeated"):
+            SystemConfig(seeds=(1, 2, 1)).validate()
 
     def test_scheme_parameters_not_given_keep_defaults(self):
         cfg = SystemConfig.from_text("scheme = type3\nbeta_decay = 0.9\n")
