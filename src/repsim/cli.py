@@ -16,7 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from . import metrics, oracle, reputation as rep, scenarios
 from .model import ExactState, SystemConfig, parse_seeds
@@ -24,39 +27,39 @@ from .model import ExactState, SystemConfig, parse_seeds
 FMT = "%.10g"
 
 
-def _f(x: float) -> str:
-    return FMT % x
-
-
 def write_trace(path: Path, seed: int, trace, n: int):
+    """One line per round, one format string over the trace's columns.  Rounds
+    without an audit hand on one reputations tuple, whose text is reused by
+    identity, never by value: -0.0 == 0.0, yet the two print differently."""
+    cols = metrics.trace_columns(trace, n)
     header = (["seed", "round", "audited", "accepted_correct", "tie", "p_a",
                "reputation_ratio"]
               + [f"p_c_{i}" for i in range(n)]
               + [f"rho_{i}" for i in range(n)]
               + [f"cheated_{i}" for i in range(n)])
-    lines = [",".join(header)]
+    fmt = ",".join([str(seed)] + ["%d"] * 4 + [FMT] * (2 + n) + ["%s"] + ["%d"] * n)
+    rho_fmt, rho_texts, last, text = ",".join([FMT] * n), [], None, ""
     for o in trace:
-        row = [str(seed), str(o.round), str(int(o.audited)),
-               str(int(o.accepted_correct)), str(int(o.tie_broken)),
-               _f(o.p_a_after), _f(metrics.reputation_ratio(o))]
-        row += [_f(p) for p in o.p_c_after]
-        row += [_f(r) for r in o.reputations_after]
-        row += [str(int(i in o.cheater_set)) for i in range(n)]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+        if o.reputations_after is not last:
+            last, text = o.reputations_after, rho_fmt % o.reputations_after
+        rho_texts.append(text)
+    flags = np.column_stack([cols["round"], cols["audited"], cols["correct"], cols["tie"]])
+    floats = np.column_stack([cols["p_a"], cols["reputation_ratio"], cols["p_c"]])
+    rows = zip(map(np.ndarray.tolist, flags), map(np.ndarray.tolist, floats), rho_texts,
+               map(np.ndarray.tolist, cols["cheated"]))
+    lines = (fmt % (*f, *x, r, *c) for f, x, r, c in rows)
+    path.write_text("\n".join(chain([",".join(header)], lines, [""])))
 
 
 def write_summary(path: Path, summary, n: int):
+    """One line per round from one format string over the summary's columns."""
     header = (["round", "p_a", "audit_rate", "correct_rate", "reputation_ratio"]
               + [f"p_c_{i}" for i in range(n)] + [f"rho_{i}" for i in range(n)])
-    lines = [",".join(header)]
-    for r in range(len(summary.p_a)):
-        row = [str(r), _f(summary.p_a[r]), _f(summary.audit_rate[r]),
-               _f(summary.correct_rate[r]), _f(summary.reputation_ratio[r])]
-        row += [_f(summary.p_c[i, r]) for i in range(n)]
-        row += [_f(summary.rho[i, r]) for i in range(n)]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    fmt = ",".join(["%d"] + [FMT] * (4 + 2 * n))
+    floats = np.column_stack([summary.p_a, summary.audit_rate, summary.correct_rate,
+                              summary.reputation_ratio, summary.p_c.T, summary.rho.T])
+    lines = (fmt % (r, *x) for r, x in enumerate(map(np.ndarray.tolist, floats)))
+    path.write_text("\n".join(chain([",".join(header)], lines, [""])))
 
 
 def _apply_overrides(config: SystemConfig, args) -> SystemConfig:

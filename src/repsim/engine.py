@@ -36,35 +36,32 @@ def decide_strategies(state: ExactState, rng: random.Random) -> frozenset:
     return frozenset(i for i, p_c in enumerate(state.p_c) if rng.random() < p_c)
 
 
-def _camp(scheme, v, beta, aud: int, members) -> float:
-    """Aggregate reputation of the workers listed in `members`."""
-    return rep.aggregate(scheme, ((v[i], beta[i]) for i in members), aud)
+def _camp_weights(scheme, v, beta, reps, camps):
+    """Sum of `reps` over each camp in `camps` (sequences of worker indices).
 
-
-def _camp_weights(scheme, v, beta, aud: int, camps):
-    """Aggregate reputation of each camp in `camps` (sequences of worker indices).
-
-    When every camp reads 0.0, every reputation involved underflowed (type 2
+    Workers add in index order from 0, as `rep.aggregate` adds them.  When
+    every camp reads 0.0, every reputation involved underflowed (type 2
     after ~1075 audits).  Type 2 depends only on aud - v, so reading it at
     aud = max(v) divides every value by the same eps^(aud - max(v)): the
     camps keep their ratio, and the camp holding the best-validated worker
     is positive, so an empty camp never ties a non-empty one.
     """
-    weights = [_camp(scheme, v, beta, aud, members) for members in camps]
+    weights = [sum(map(reps.__getitem__, members)) for members in camps]
     if not any(weights):
-        weights = [_camp(scheme, v, beta, max(v), members) for members in camps]
+        top = rep.values(scheme, v, max(v), beta)
+        weights = [sum(map(top.__getitem__, members)) for members in camps]
     return weights
 
 
-def weighted_majority(scheme, state: ExactState, cheaters: frozenset):
-    """Aggregate reputations of the two camps.
+def weighted_majority(scheme, state: ExactState, cheaters: frozenset, reps=None):
+    """Aggregate reputations of the two camps (`reps`: those of `state`, if known).
 
     Returns (rho_honest, rho_cheat, tie).  All cheaters return one identical
     wrong value, so the vote is camp-against-camp.
     """
-    n = len(state.v)
-    honest = [i for i in range(n) if i not in cheaters]
-    rho_honest, rho_cheat = _camp_weights(scheme, state.v, state.beta, state.aud,
+    reps = reps or rep.values(scheme, state.v, state.aud, state.beta)
+    honest = [i for i in range(len(reps)) if i not in cheaters]
+    rho_honest, rho_cheat = _camp_weights(scheme, state.v, state.beta, reps,
                                           (honest, sorted(cheaters)))
     return rho_honest, rho_cheat, rho_honest == rho_cheat
 
@@ -87,30 +84,40 @@ def worker_update(spec, p_c: float, payoff: float, cheated: bool,
     return clamp(p_c - alpha_w * (payoff - spec.aspiration) * s, 0.0, 1.0)
 
 
+def _roster(config: SystemConfig):
+    """Per-config constants of a round: every worker's reward, and whether it learns."""
+    return ([w.wby for w in config.workers],
+            [w.wtype is WorkerType.RATIONAL for w in config.workers])
+
+
 def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset,
-                    audited: bool, tie_coin=None):
+                    audited: bool, tie_coin=None, reputations=None, roster=None):
     """Pure one-round transition.
 
     `tie_coin` is a zero-argument callable that resolves a reputation tie in
     an unaudited round (True: the honest camp wins); it is called only when
-    a tie actually occurs.  Returns (state', branch, outcome) where
-    outcome.round is left at -1 for the caller to fill in.
+    a tie actually occurs.  A run passes what it already has: the workers'
+    `reputations` in `state` (the last `reputations_after`) and `roster`.
+    Returns (state', branch, outcome) with outcome.round left at -1.
     """
-    scheme = config.scheme
-    n = config.n
+    scheme, n = config.scheme, config.n
+    wbys, learns = roster or _roster(config)
 
     if audited:
         v, beta = zip(*(rep.audit_update(scheme, state.v[i], state.beta[i],
                                          truthful=i not in cheaters)
                         for i in range(n)))
         aud = state.aud + 1
-        rho_cheat, rho_total = _camp_weights(scheme, v, beta, aud,
+        reputations = rep.values(scheme, v, aud, beta)
+        rho_cheat, rho_total = _camp_weights(scheme, v, beta, reputations,
                                              (sorted(cheaters), range(n)))
         p_a = master_update(config, state.p_a, rho_cheat, rho_total)
         majority = frozenset()
         accepted_correct, branch = True, Branch(cheaters, True)
     else:
-        rho_honest, rho_cheat, tie = weighted_majority(scheme, state, cheaters)
+        reputations = reputations or rep.values(scheme, state.v, state.aud, state.beta)
+        rho_honest, rho_cheat, tie = weighted_majority(scheme, state, cheaters,
+                                                       reputations)
         if tie:
             if tie_coin is None:
                 raise ValueError("tie occurred but no tie coin was supplied")
@@ -123,11 +130,10 @@ def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset
         accepted_correct = honest_win
         p_a, aud, v, beta = state.p_a, state.aud, state.v, state.beta
 
-    payoffs = compute_payoffs(n, cheaters, audited, majority,
-                              [w.wby for w in config.workers], config.wpc, config.wct)
-    p_c = tuple(worker_update(spec, state.p_c[i], payoffs[i], cheated=i in cheaters,
-                              alpha_w=config.alpha_w)
-                for i, spec in enumerate(config.workers))
+    payoffs = compute_payoffs(n, cheaters, audited, majority, wbys, config.wpc, config.wct)
+    p_c = tuple([worker_update(spec, p, pay, i in cheaters, config.alpha_w) if learn else p
+                 for i, (spec, p, pay, learn)
+                 in enumerate(zip(config.workers, state.p_c, payoffs, learns))])
 
     outcome = RoundOutcome(
         round=-1,
@@ -137,14 +143,15 @@ def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset
         tie_broken=branch.tie_outcome is not None,
         accepted_correct=accepted_correct,
         payoffs=payoffs,
-        reputations_after=tuple(rep.value(scheme, v[i], aud, beta[i]) for i in range(n)),
+        reputations_after=reputations,
         p_a_after=p_a,
         p_c_after=p_c,
     )
     return ExactState(p_a, aud, p_c, v, beta), branch, outcome
 
 
-def run_round(config: SystemConfig, state: ExactState, rng: random.Random):
+def run_round(config: SystemConfig, state: ExactState, rng: random.Random,
+              reputations=None, roster=None):
     """One sampled round; returns round_successor's (state', branch, outcome).
 
     RNG draw order is fixed: n strategy uniforms (ascending index), one
@@ -153,7 +160,7 @@ def run_round(config: SystemConfig, state: ExactState, rng: random.Random):
     cheaters = decide_strategies(state, rng)
     audited = rng.random() < state.p_a
     return round_successor(config, state, cheaters, audited,
-                           lambda: rng.random() < 0.5)
+                           lambda: rng.random() < 0.5, reputations, roster)
 
 
 def apply_role_changes(config: SystemConfig, state: ExactState, round_: int):
@@ -173,14 +180,21 @@ def apply_role_changes(config: SystemConfig, state: ExactState, round_: int):
 
 
 def run_simulation(config: SystemConfig, seed: int) -> list:
-    """Full deterministic run: one trace of RoundOutcome per round."""
+    """Full deterministic run: one trace of RoundOutcome per round.
+
+    Reputations pass from round to round; the roster changes with the roles.
+    """
     config.validate()
     rng = random.Random(seed)
     state = config.initial_state()
-    trace = []
+    change_rounds = {rc.round for rc in config.role_changes}
+    trace, reputations, roster = [], None, _roster(config)
     for r in range(config.horizon):
-        config, state = apply_role_changes(config, state, r)
-        state, _, outcome = run_round(config, state, rng)
+        if r in change_rounds:
+            config, state = apply_role_changes(config, state, r)
+            roster = _roster(config)
+        state, _, outcome = run_round(config, state, rng, reputations, roster)
         outcome.round = r
+        reputations = outcome.reputations_after
         trace.append(outcome)
     return trace

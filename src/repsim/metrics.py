@@ -2,16 +2,43 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
 
-def reputation_ratio(outcome) -> float:
-    """Signed mean reputation: sum of rho_i * (+1 honest / -1 cheat) over n."""
-    n = len(outcome.reputations_after)
-    return sum(r * (-1.0 if i in outcome.cheater_set else 1.0)
-               for i, r in enumerate(outcome.reputations_after)) / n
+def reputation_ratio(rho: np.ndarray, cheated: np.ndarray) -> np.ndarray:
+    """Signed mean reputation per round of (rounds, n) columns: sum of rho_i *
+    (+1 honest / -1 cheat) over n, adding workers in index order from 0."""
+    acc = np.zeros(len(rho))
+    for i in range(rho.shape[1]):
+        acc += np.where(cheated[:, i], -rho[:, i], rho[:, i])
+    return acc / rho.shape[1]
+
+
+def trace_columns(trace: Sequence, n: int) -> dict:
+    """A list of RoundOutcome as numpy columns, (rounds,) or (rounds, n) each."""
+    rounds = len(trace)
+
+    def per_round(attr, dtype):
+        return np.fromiter(map(attrgetter(attr), trace), dtype, rounds)
+
+    def per_worker(attr):
+        flat = chain.from_iterable(map(attrgetter(attr), trace))
+        return np.fromiter(flat, float, rounds * n).reshape(rounds, n)
+
+    sets = [o.cheater_set for o in trace]
+    cheated = np.zeros((rounds, n), dtype=bool)
+    cheated[np.repeat(np.arange(rounds), list(map(len, sets))),
+            list(chain.from_iterable(sets))] = True
+    rho = per_worker("reputations_after")
+    return {"round": per_round("round", int), "audited": per_round("audited", bool),
+            "correct": per_round("accepted_correct", bool),
+            "tie": per_round("tie_broken", bool), "p_a": per_round("p_a_after", float),
+            "p_c": per_worker("p_c_after"), "rho": rho, "cheated": cheated,
+            "reputation_ratio": reputation_ratio(rho, cheated)}
 
 
 def detect_convergence(trace: Sequence, p_a_min: float, window: int = 100,
@@ -48,50 +75,26 @@ class ScenarioSummary:
     rho: np.ndarray                 # (n, horizon)
     convergence_rounds: tuple       # per-seed Optional[int]
     total_audits: float             # mean over seeds
-    total_reward: float             # mean gross reward paid per run
-
-
-def gross_reward_paid(outcome, wbys) -> float:
-    """Reward the master pays out this round (pre-cost, never negative)."""
-    if outcome.audited:
-        earners = set(range(len(wbys))) - set(outcome.cheater_set)
-    else:
-        earners = outcome.majority_set
-    return sum(wbys[i] for i in earners)
 
 
 def summarize(name: str, config, traces: dict) -> ScenarioSummary:
-    """Arithmetic per-round means of the per-seed traces."""
-    seeds = tuple(traces)
-    horizon = config.horizon
-    n = config.n
-    wbys = [w.wby for w in config.workers]
-    p_a = np.zeros(horizon)
-    audit = np.zeros(horizon)
-    correct = np.zeros(horizon)
-    ratio = np.zeros(horizon)
-    p_c = np.zeros((n, horizon))
-    rho = np.zeros((n, horizon))
-    conv = []
-    audits_total = 0.0
-    reward_total = 0.0
+    """Arithmetic per-round means of the per-seed traces; each seed's columns
+    add onto zeros in seed order, the order a round-by-round loop adds in."""
+    seeds, horizon, n = tuple(traces), config.horizon, config.n
+    sums = {key: np.zeros(horizon) for key in ("p_a", "audited", "correct",
+                                                "reputation_ratio")}
+    sums.update(p_c=np.zeros((horizon, n)), rho=np.zeros((horizon, n)))
+    conv, audits = [], 0
     for seed in seeds:
-        trace = traces[seed]
-        for r, o in enumerate(trace):
-            p_a[r] += o.p_a_after
-            audit[r] += 1.0 if o.audited else 0.0
-            correct[r] += 1.0 if o.accepted_correct else 0.0
-            ratio[r] += reputation_ratio(o)
-            for i in range(n):
-                p_c[i, r] += o.p_c_after[i]
-                rho[i, r] += o.reputations_after[i]
-            audits_total += 1.0 if o.audited else 0.0
-            reward_total += gross_reward_paid(o, wbys)
-        conv.append(detect_convergence(trace, config.p_a_min))
-    k = len(seeds)
-    return ScenarioSummary(name=name, seeds=seeds, p_a=p_a / k,
-                           audit_rate=audit / k, correct_rate=correct / k,
-                           reputation_ratio=ratio / k, p_c=p_c / k, rho=rho / k,
+        cols = trace_columns(traces[seed], n)
+        for key, total in sums.items():
+            total += cols[key]
+        audits += np.count_nonzero(cols["audited"])
+        conv.append(detect_convergence(traces[seed], config.p_a_min))
+    mean = {key: total / len(seeds) for key, total in sums.items()}
+    return ScenarioSummary(name=name, seeds=seeds, p_a=mean["p_a"],
+                           audit_rate=mean["audited"], correct_rate=mean["correct"],
+                           reputation_ratio=mean["reputation_ratio"],
+                           p_c=mean["p_c"].T, rho=mean["rho"].T,
                            convergence_rounds=tuple(conv),
-                           total_audits=audits_total / k,
-                           total_reward=reward_total / k)
+                           total_audits=audits / len(seeds))

@@ -193,22 +193,22 @@ class SystemConfig:
     def to_text(self) -> str:
         scheme = self.scheme
         lines = [f"scheme = {scheme.name}"]
-        lines += [f"{key} = {getattr(scheme, attr):.10g}"
+        lines += [f"{key} = {_num(getattr(scheme, attr))}"
                   for key, attr in rep.scheme_params(scheme).items()]
         lines += [
             f"horizon = {self.horizon}",
-            f"p_a = {self.p_a0:.10g}",
-            f"p_a_min = {self.p_a_min:.10g}",
-            f"tau = {self.tau:.10g}",
-            f"alpha_m = {self.alpha_m:.10g}",
-            f"alpha_w = {self.alpha_w:.10g}",
-            f"wpc = {self.wpc:.10g}",
-            f"wct = {self.wct:.10g}",
+            f"p_a = {_num(self.p_a0)}",
+            f"p_a_min = {_num(self.p_a_min)}",
+            f"tau = {_num(self.tau)}",
+            f"alpha_m = {_num(self.alpha_m)}",
+            f"alpha_w = {_num(self.alpha_w)}",
+            f"wpc = {_num(self.wpc)}",
+            f"wct = {_num(self.wct)}",
             "seeds = " + " ".join(str(s) for s in self.seeds),
         ]
         for w in self.workers:
-            lines.append(f"worker = {w.wtype.value} {w.p_c0:.10g} "
-                         f"{w.aspiration:.10g} {w.wby:.10g}")
+            lines.append(f"worker = {w.wtype.value} {_num(w.p_c0)} "
+                         f"{_num(w.aspiration)} {_num(w.wby)}")
         for rc in self.role_changes:
             lines.append(f"role_change = {rc.round} {rc.worker} {rc.new_type.value}")
         return "\n".join(lines) + "\n"
@@ -274,6 +274,11 @@ class SystemConfig:
     @classmethod
     def from_file(cls, path) -> "SystemConfig":
         return cls.from_text(Path(path).read_text())
+
+
+def _num(x: float) -> str:
+    """`%.10g` when that reads back as `x`, else the shortest round-trip repr."""
+    return f"{x:.10g}" if float(f"{x:.10g}") == x else repr(x)
 
 
 def _parse_worker(value: str, lineno: int) -> list:

@@ -186,7 +186,7 @@ def enumerate_transitions(config: SystemConfig, state: ExactState,
     cheat = bits[[row[cheaters] for cheaters, _ in sets]]
 
     audited = _audited_successors(config, state, cheat) if state.p_a > 0.0 else None
-    rho = [rep.value(config.scheme, v, state.aud, b) for v, b in zip(state.v, state.beta)]
+    rho = rep.values(config.scheme, state.v, state.aud, state.beta)
     rho_honest = _worker_sums(cheat, rho, [0.0] * n)
     rho_cheat = _worker_sums(cheat, [0.0] * n, rho)
     underflow = ((rho_honest == 0.0) & (rho_cheat == 0.0)).tolist()

@@ -128,6 +128,11 @@ def value(scheme, v: int, aud: int, beta: float = 0.0) -> float:
     return 0.5 if aud == 0 else scheme.formula(v, aud, beta)
 
 
+def values(scheme, v: Sequence, aud: int, beta: Sequence) -> tuple:
+    """value() of every worker of one chain state, in index order."""
+    return tuple(value(scheme, v[i], aud, beta[i]) for i in range(len(v)))
+
+
 def audit_update(scheme, v: int, beta: float, truthful: bool):
     """Post-audit counts for one worker: returns (v', beta')."""
     return v + truthful, scheme.beta_update(beta, truthful)

@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from repsim import cli
+from repsim import cli, scenarios
+from repsim.model import SystemConfig, WorkerSpec, WorkerType
+from repsim.reputation import scheme_from_name
 
 
 def run_cli(*argv):
@@ -118,3 +120,83 @@ def test_bad_seeds_named_by_flag(tmp_path, capsys, seeds, message):
 @pytest.mark.parametrize("suite", ["property2", "closed-sets"])
 def test_verify_suites_pass(suite):
     assert run_cli("verify", suite) == 0
+
+
+# -- reference writers: every field formatted on its own -------------------------
+
+def _f(x: float) -> str:
+    return "%.10g" % x
+
+
+def reference_write_trace(path: Path, seed: int, trace, n: int):
+    header = (["seed", "round", "audited", "accepted_correct", "tie", "p_a",
+               "reputation_ratio"]
+              + [f"p_c_{i}" for i in range(n)]
+              + [f"rho_{i}" for i in range(n)]
+              + [f"cheated_{i}" for i in range(n)])
+    lines = [",".join(header)]
+    for o in trace:
+        ratio = sum(r * (-1.0 if i in o.cheater_set else 1.0)
+                    for i, r in enumerate(o.reputations_after)) / n
+        row = [str(seed), str(o.round), str(int(o.audited)),
+               str(int(o.accepted_correct)), str(int(o.tie_broken)),
+               _f(o.p_a_after), _f(ratio)]
+        row += [_f(p) for p in o.p_c_after]
+        row += [_f(r) for r in o.reputations_after]
+        row += [str(int(i in o.cheater_set)) for i in range(n)]
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_write_summary(path: Path, summary, n: int):
+    header = (["round", "p_a", "audit_rate", "correct_rate", "reputation_ratio"]
+              + [f"p_c_{i}" for i in range(n)] + [f"rho_{i}" for i in range(n)])
+    lines = [",".join(header)]
+    for r in range(len(summary.p_a)):
+        row = [str(r), _f(summary.p_a[r]), _f(summary.audit_rate[r]),
+               _f(summary.correct_rate[r]), _f(summary.reputation_ratio[r])]
+        row += [_f(summary.p_c[i, r]) for i in range(n)]
+        row += [_f(summary.rho[i, r]) for i in range(n)]
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _config(scheme, *groups, **knobs):
+    workers = [WorkerSpec(wtype, p_c) for wtype, p_c, count in groups
+               for _ in range(count)]
+    return SystemConfig(workers=workers, scheme=scheme_from_name(scheme),
+                        **knobs).validate()
+
+
+ALT, MAL = WorkerType.ALTRUISTIC, WorkerType.MALICIOUS
+WRITER_CASES = {
+    # ties in half the unaudited rounds
+    "tie-heavy": _config("none", (ALT, 0.0, 2), (MAL, 1.0, 2), horizon=400),
+    # every type 2 reputation reads 0.0 from about audit 1075 on
+    "underflowed-type2": _config("type2", (MAL, 1.0, 3), horizon=1200),
+    # five workers turn malicious at round 500
+    "dynamic500": scenarios.get_scenario("dynamic500-type2"),
+    # no audit ever happens, so p_a stays -0.0
+    "negative-zero": _config("none", (ALT, 0.0, 2), (MAL, 1.0, 1), p_a0=-0.0,
+                             p_a_min=-0.0, horizon=50),
+}
+
+
+def _written(write, path, *args) -> bytes:
+    write(path, *args)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_writers_match_reference(tmp_path, case):
+    summary, traces = scenarios.run_scenario(WRITER_CASES[case], seeds=(1, 2))
+    n = WRITER_CASES[case].n
+    for seed, trace in traces.items():
+        got = _written(cli.write_trace, tmp_path / "t.csv", seed, trace, n)
+        assert got == _written(reference_write_trace, tmp_path / "r.csv", seed, trace, n)
+    got_summary = _written(cli.write_summary, tmp_path / "s.csv", summary, n)
+    assert got_summary == _written(reference_write_summary, tmp_path / "r.csv", summary, n)
+    if case == "negative-zero":
+        # -0.0 == 0.0, but the trace prints -0 and the seed mean prints 0
+        assert {row.split(b",")[5] for row in got.splitlines()[1:]} == {b"-0"}
+        assert {row.split(b",")[1] for row in got_summary.splitlines()[1:]} == {b"0"}

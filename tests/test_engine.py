@@ -192,3 +192,67 @@ def test_run_invariants(n, p_c0, scheme, seed):
         assert len(o.payoffs) == n
         if o.audited:
             assert o.accepted_correct and not o.majority_set
+
+
+def assert_kernel_invariants(cfg, trace):
+    """Per round: v <= aud, and reputations_after equal to rep.value of the
+    counts rebuilt from the trace's audited rounds and cheater sets."""
+    scheme, n = cfg.scheme, cfg.n
+    v, beta, aud = [0] * n, [scheme.beta_init] * n, 0
+    for o in trace:
+        if o.audited:
+            aud += 1
+            for i in range(n):
+                v[i], beta[i] = rep.audit_update(scheme, v[i], beta[i],
+                                                 truthful=i not in o.cheater_set)
+        assert all(v_i <= aud for v_i in v)
+        assert o.reputations_after == tuple(rep.value(scheme, v[i], aud, beta[i])
+                                            for i in range(n))
+
+
+@st.composite
+def mixed_configs(draw):
+    n = draw(st.integers(1, 5))
+    workers = [WorkerSpec(wtype=draw(st.sampled_from(list(WorkerType))),
+                          p_c0=draw(st.floats(0.0, 1.0)),
+                          wby=draw(st.sampled_from([1.0, 0.1])))
+               for _ in range(n)]
+    changes = draw(st.lists(st.builds(RoleChange, st.integers(0, 150),
+                                      st.integers(0, n - 1),
+                                      st.sampled_from(list(WorkerType))), max_size=3))
+    return SystemConfig(workers=workers,
+                        scheme=rep.scheme_from_name(draw(st.sampled_from(
+                            ["type1", "type2", "type3", "none"]))),
+                        p_a0=draw(st.floats(0.0, 1.0)), p_a_min=0.0,
+                        tau=draw(st.floats(0.0, 1.0)), horizon=draw(st.integers(0, 200)),
+                        seeds=(1,), role_changes=changes).validate()
+
+
+def stepped_trace(cfg, seed):
+    """run_simulation's trace from one-shot kernel calls: nothing carried over
+    between rounds, roles checked every round."""
+    rng, state, trace = random.Random(seed), cfg.initial_state(), []
+    for r in range(cfg.horizon):
+        cfg, state = engine.apply_role_changes(cfg, state, r)
+        state, _, outcome = engine.run_round(cfg, state, rng)
+        outcome.round = r
+        trace.append(outcome)
+    return trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=mixed_configs(), seed=st.integers(0, 10_000))
+def test_kernel_invariants(cfg, seed):
+    trace = engine.run_simulation(cfg, seed)
+    assert_kernel_invariants(cfg, trace)
+    assert trace == stepped_trace(cfg, seed)
+
+
+def test_kernel_invariants_underflowed_type2():
+    # three malicious workers: p_a climbs to 1 and every reputation reads
+    # 0.0 from about audit 1075 on
+    cfg = SystemConfig(workers=[WorkerSpec(WorkerType.MALICIOUS, 1.0)] * 3,
+                       scheme=rep.Type2(), horizon=1200, seeds=(1,)).validate()
+    trace = engine.run_simulation(cfg, seed=1)
+    assert trace[-1].reputations_after == (0.0, 0.0, 0.0)
+    assert_kernel_invariants(cfg, trace)

@@ -16,8 +16,9 @@ def outcome(r=0, correct=True, p_a=0.01, audited=False,
 
 
 def test_reputation_ratio_signs():
-    o = outcome(cheaters={1}, reps=(0.5, 0.25))
-    assert metrics.reputation_ratio(o) == pytest.approx(0.125)
+    o = outcome(cheaters={1}, reps=(0.5, 0.25), p_cs=(0.0, 1.0))
+    cols = metrics.trace_columns([o], 2)
+    assert metrics.reputation_ratio(cols["rho"], cols["cheated"]) == pytest.approx([0.125])
 
 
 class TestDetectConvergence:
@@ -46,15 +47,6 @@ class TestDetectConvergence:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             metrics.detect_convergence([], 0.01, window=0)
-
-
-def test_gross_reward_paid():
-    audited = outcome(audited=True, cheaters={0})
-    wbys = [1.0, 1.0, 0.1]
-    assert metrics.gross_reward_paid(audited, wbys) == pytest.approx(1.1)
-    voted = outcome(cheaters={0})
-    voted.majority_set = frozenset({1, 2})
-    assert metrics.gross_reward_paid(voted, wbys) == pytest.approx(1.1)
 
 
 def test_summarize_shapes_and_means():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repsim.model import (ConfigError, ExactState, RoleChange, SystemConfig,
                           WorkerSpec, WorkerType, clamp, compute_payoffs,
@@ -82,6 +83,42 @@ def test_initial_workers_fix_pc_and_beta():
     assert SystemConfig(scheme=rep.Type2()).initial_state().beta == (0.0,) * 9
 
 
+def floats(lo=None, hi=None, **kw):
+    return st.floats(lo, hi, allow_nan=False, **kw)
+
+
+SCHEME_PARAMS = {
+    "type1": {},
+    "type2": {"epsilon": floats(0.0, 1.0, exclude_min=True, exclude_max=True)},
+    "type3": {"error_bound": floats(0.0, exclude_min=True), "beta_init": floats(0.0),
+              "decay": floats(), "increment": floats()},
+    "none": {},
+}
+
+
+@st.composite
+def valid_configs(draw):
+    """SystemConfigs with arbitrary valid floats, infinities and -0.0 included."""
+    name = draw(st.sampled_from(sorted(SCHEME_PARAMS)))
+    params = {key: draw(strategy) for key, strategy in SCHEME_PARAMS[name].items()}
+    workers = draw(st.lists(st.builds(
+        WorkerSpec, wtype=st.sampled_from(list(WorkerType)), p_c0=floats(0.0, 1.0),
+        aspiration=floats(), wby=floats(0.0)), min_size=1, max_size=4))
+    p_a_min = draw(floats(0.0, 1.0))
+    cfg = SystemConfig(
+        workers=workers, scheme=rep.scheme_from_name(name, **params),
+        wpc=draw(floats(0.0)), wct=draw(floats(0.0)), alpha_w=draw(floats(0.0)),
+        alpha_m=draw(floats(0.0)), p_a0=draw(floats(p_a_min, 1.0)), p_a_min=p_a_min,
+        tau=draw(floats(0.0, 1.0)), horizon=draw(st.integers(0, 10_000)),
+        seeds=tuple(draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=3,
+                                  unique=True))),
+        role_changes=[RoleChange(r, draw(st.integers(0, len(workers) - 1)), t)
+                      for r, t in draw(st.lists(st.tuples(
+                          st.integers(0, 100), st.sampled_from(list(WorkerType))),
+                          max_size=2))])
+    return cfg.validate()
+
+
 class TestConfigText:
     def test_round_trip(self):
         cfg = SystemConfig(
@@ -94,6 +131,27 @@ class TestConfigText:
     def test_round_trip_type3(self):
         cfg = SystemConfig(scheme=rep.Type3(error_bound=0.1, beta_init=0.2))
         assert SystemConfig.from_text(cfg.to_text()) == cfg
+
+    def test_round_trip_beyond_ten_digits(self):
+        # %.10g would write 0.3333333333, which reads back as another tau
+        cfg = SystemConfig(tau=1 / 3, workers=[WorkerSpec(p_c0=0.1 + 0.2)])
+        text = cfg.to_text()
+        assert "tau = 0.3333333333333333\n" in text
+        assert "worker = rational 0.30000000000000004 0.1 1\n" in text
+        assert SystemConfig.from_text(text) == cfg
+
+    def test_ten_digit_values_keep_their_text(self):
+        text = SystemConfig(tau=0.123456789, p_a0=-0.0, p_a_min=-0.0).to_text()
+        assert "tau = 0.123456789\n" in text
+        assert "p_a = -0\np_a_min = -0\n" in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=valid_configs())
+    def test_round_trip_property(self, cfg):
+        text = cfg.to_text()
+        back = SystemConfig.from_text(text)
+        assert back == cfg
+        assert back.to_text() == text
 
     def test_worker_repeat_suffix(self):
         cfg = SystemConfig.from_text("worker = rational 1.0 0.1 1.0 x4\n"
