@@ -21,17 +21,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, oracle, reputation as rep, scenarios
+from . import oracle, reputation as rep, scenarios
 from .model import ExactState, SystemConfig, parse_seeds
 
 FMT = "%.10g"
 
 
-def write_trace(path: Path, seed: int, trace, n: int):
-    """One line per round, one format string over the trace's columns.  Rounds
-    without an audit hand on one reputations tuple, whose text is reused by
-    identity, never by value: -0.0 == 0.0, yet the two print differently."""
-    cols = metrics.trace_columns(trace, n)
+def write_trace(path: Path, seed: int, trace, cols: dict):
+    """One line per round, one format string over the trace's columns `cols`
+    (`metrics.trace_columns`).  Rounds without an audit hand on one
+    reputations tuple, whose text is reused by identity, never by value:
+    -0.0 == 0.0, yet the two print differently."""
+    n = cols["p_c"].shape[1]
     header = (["seed", "round", "audited", "accepted_correct", "tie", "p_a",
                "reputation_ratio"]
               + [f"p_c_{i}" for i in range(n)]
@@ -106,11 +107,10 @@ def cmd_run(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 1
-    n = config.n
     for seed, trace in traces.items():
-        write_trace(out / f"trace_seed{seed}.csv", seed, trace, n)
+        write_trace(out / f"trace_seed{seed}.csv", seed, trace, summary.columns[seed])
     summary = replace(summary, name=name)
-    write_summary(out / "summary.csv", summary, n)
+    write_summary(out / "summary.csv", summary, config.n)
     config.save(out / "manifest.txt")
     conv = [c for c in summary.convergence_rounds if c is not None]
     print(f"{name}: {len(traces)} seeds, horizon {config.horizon}, "

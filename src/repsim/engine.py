@@ -1,10 +1,10 @@
 """Round loop: strategy draws, auditing, weighted majority and learning.
 
-The actual state update lives in `round_successor`, a pure function of
-(config, state, cheater set, audited flag, tie coin).  The stochastic
-engine and the exact Markov enumerator both call it, so their successor
-states agree bit-for-bit.  The chain state is `model.ExactState`; the
-per-worker constants and the master's knobs are read from the config.
+`round_successor` is the pure one-round transition (config, state, cheater
+set, audited flag, tie coin), which `run_round` and the exact Markov
+enumerator call.  `run_simulation` steps the same rule functions from
+per-roster branch tables, so its states agree bit-for-bit with the kernel's.
+The chain state is `model.ExactState`; the knobs are read from the config.
 """
 from __future__ import annotations
 
@@ -26,14 +26,22 @@ class Branch:
     tie_outcome: Optional[bool] = None   # honest camp won the coin flip
 
 
-def decide_strategies(state: ExactState, rng: random.Random) -> frozenset:
-    """Draw this round's cheater set, one uniform per worker in index order.
+def decide_strategies(p_c, draw) -> tuple:
+    """This round's cheat pattern: one uniform from `draw` per worker in index
+    order, and worker i cheats iff its uniform is below p_c[i].
 
     Altruistic and malicious workers hold p_c at 0 and 1, so the same
     Bernoulli draw covers all three types (and keeps the stream length
     independent of the type mix).
     """
-    return frozenset(i for i, p_c in enumerate(state.p_c) if rng.random() < p_c)
+    return tuple([draw() < p for p in p_c])
+
+
+def _camps(pattern):
+    """(cheater set, honest indices, cheater indices) of a cheat pattern."""
+    return (frozenset(i for i, c in enumerate(pattern) if c),
+            [i for i, c in enumerate(pattern) if not c],
+            [i for i, c in enumerate(pattern) if c])
 
 
 def _camp_weights(scheme, v, beta, reps, camps):
@@ -75,48 +83,63 @@ def master_update(config: SystemConfig, p_a: float, rho_cheat: float,
                  config.p_a_min, 1.0)
 
 
-def worker_update(spec, p_c: float, payoff: float, cheated: bool,
-                  alpha_w: float) -> float:
-    """Aspiration-based probability update; non-rational workers pass through."""
+def learning_step(spec, payoff: float, cheated: bool, alpha_w: float) -> float:
+    """How far a round lowers a worker's cheat probability, before the clamp:
+    aspiration-based for rational workers, 0 for the others."""
     if spec.wtype is not WorkerType.RATIONAL:
-        return p_c
-    s = -1.0 if cheated else 1.0
-    return clamp(p_c - alpha_w * (payoff - spec.aspiration) * s, 0.0, 1.0)
+        return 0.0
+    return alpha_w * (payoff - spec.aspiration) * (-1.0 if cheated else 1.0)
 
 
-def _roster(config: SystemConfig):
-    """Per-config constants of a round: every worker's reward, and whether it learns."""
-    return ([w.wby for w in config.workers],
-            [w.wtype is WorkerType.RATIONAL for w in config.workers])
+def worker_update(p_c: tuple, steps) -> tuple:
+    """Every worker's cheat probability after its learning step, in [0, 1]."""
+    return tuple([clamp(p - step, 0.0, 1.0) for p, step in zip(p_c, steps)])
+
+
+def _audit(config: SystemConfig, p_a, aud, v, beta, cheaters, cheat):
+    """An audited round's (p_a', aud', v', beta', reputations'); `cheat` lists
+    `cheaters` in index order."""
+    scheme, n = config.scheme, config.n
+    v, beta = zip(*(rep.audit_update(scheme, v[i], beta[i], truthful=i not in cheaters)
+                    for i in range(n)))
+    reputations = rep.values(scheme, v, aud + 1, beta)
+    rho_cheat, rho_total = _camp_weights(scheme, v, beta, reputations, (cheat, range(n)))
+    return master_update(config, p_a, rho_cheat, rho_total), aud + 1, v, beta, reputations
+
+
+def settle(config: SystemConfig, cheaters: frozenset, audited: bool, honest_win: bool):
+    """A branch's (majority, payoffs, learning steps).  An audited round has
+    no majority; after a vote the winning camp is the majority."""
+    n = config.n
+    if audited:
+        majority = frozenset()
+    else:
+        majority = frozenset(range(n)) - cheaters if honest_win else frozenset(cheaters)
+    payoffs = compute_payoffs(n, cheaters, audited, majority,
+                              [w.wby for w in config.workers], config.wpc, config.wct)
+    steps = [learning_step(spec, pay, i in cheaters, config.alpha_w)
+             for i, (spec, pay) in enumerate(zip(config.workers, payoffs))]
+    return majority, payoffs, steps
 
 
 def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset,
-                    audited: bool, tie_coin=None, reputations=None, roster=None):
+                    audited: bool, tie_coin=None, reputations=None):
     """Pure one-round transition.
 
     `tie_coin` is a zero-argument callable that resolves a reputation tie in
     an unaudited round (True: the honest camp wins); it is called only when
-    a tie actually occurs.  A run passes what it already has: the workers'
-    `reputations` in `state` (the last `reputations_after`) and `roster`.
-    Returns (state', branch, outcome) with outcome.round left at -1.
+    a tie actually occurs.  A caller that already has the workers'
+    `reputations` in `state` passes them.  Returns (state', branch, outcome)
+    with outcome.round left at -1.
     """
-    scheme, n = config.scheme, config.n
-    wbys, learns = roster or _roster(config)
-
     if audited:
-        v, beta = zip(*(rep.audit_update(scheme, state.v[i], state.beta[i],
-                                         truthful=i not in cheaters)
-                        for i in range(n)))
-        aud = state.aud + 1
-        reputations = rep.values(scheme, v, aud, beta)
-        rho_cheat, rho_total = _camp_weights(scheme, v, beta, reputations,
-                                             (sorted(cheaters), range(n)))
-        p_a = master_update(config, state.p_a, rho_cheat, rho_total)
-        majority = frozenset()
-        accepted_correct, branch = True, Branch(cheaters, True)
+        p_a, aud, v, beta, reputations = _audit(config, state.p_a, state.aud, state.v,
+                                                state.beta, cheaters, sorted(cheaters))
+        honest_win, branch = True, Branch(cheaters, True)
     else:
-        reputations = reputations or rep.values(scheme, state.v, state.aud, state.beta)
-        rho_honest, rho_cheat, tie = weighted_majority(scheme, state, cheaters,
+        reputations = reputations or rep.values(config.scheme, state.v, state.aud,
+                                                state.beta)
+        rho_honest, rho_cheat, tie = weighted_majority(config.scheme, state, cheaters,
                                                        reputations)
         if tie:
             if tie_coin is None:
@@ -126,41 +149,26 @@ def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset
         else:
             honest_win = rho_honest > rho_cheat
             branch = Branch(cheaters, False)
-        majority = frozenset(range(n)) - cheaters if honest_win else frozenset(cheaters)
-        accepted_correct = honest_win
         p_a, aud, v, beta = state.p_a, state.aud, state.v, state.beta
 
-    payoffs = compute_payoffs(n, cheaters, audited, majority, wbys, config.wpc, config.wct)
-    p_c = tuple([worker_update(spec, p, pay, i in cheaters, config.alpha_w) if learn else p
-                 for i, (spec, p, pay, learn)
-                 in enumerate(zip(config.workers, state.p_c, payoffs, learns))])
-
-    outcome = RoundOutcome(
-        round=-1,
-        cheater_set=cheaters,
-        audited=audited,
-        majority_set=majority,
-        tie_broken=branch.tie_outcome is not None,
-        accepted_correct=accepted_correct,
-        payoffs=payoffs,
-        reputations_after=reputations,
-        p_a_after=p_a,
-        p_c_after=p_c,
-    )
+    majority, payoffs, steps = settle(config, cheaters, audited, honest_win)
+    p_c = worker_update(state.p_c, steps)
+    outcome = RoundOutcome(-1, cheaters, audited, majority, branch.tie_outcome is not None,
+                           honest_win, payoffs, reputations, p_a, p_c)
     return ExactState(p_a, aud, p_c, v, beta), branch, outcome
 
 
 def run_round(config: SystemConfig, state: ExactState, rng: random.Random,
-              reputations=None, roster=None):
+              reputations=None):
     """One sampled round; returns round_successor's (state', branch, outcome).
 
     RNG draw order is fixed: n strategy uniforms (ascending index), one
     audit uniform, then one tie uniform only if a tie actually occurs.
     """
-    cheaters = decide_strategies(state, rng)
+    cheaters = _camps(decide_strategies(state.p_c, rng.random))[0]
     audited = rng.random() < state.p_a
     return round_successor(config, state, cheaters, audited,
-                           lambda: rng.random() < 0.5, reputations, roster)
+                           lambda: rng.random() < 0.5, reputations)
 
 
 def apply_role_changes(config: SystemConfig, state: ExactState, round_: int):
@@ -182,19 +190,49 @@ def apply_role_changes(config: SystemConfig, state: ExactState, round_: int):
 def run_simulation(config: SystemConfig, seed: int) -> list:
     """Full deterministic run: one trace of RoundOutcome per round.
 
-    Reputations pass from round to round; the roster changes with the roles.
+    Does what `run_round` does, in its draw order, without calling it.  A
+    worker's payoff and learning step depend only on whether it cheated, the
+    audit flag and which camp won, so each branch (cheat pattern, audited,
+    honest_win) is settled once per roster; the table is rebuilt at a role
+    change.  Camp sums are kept per cheat pattern until an audit moves the
+    reputations.  Per round are left the draws, `_audit`, the vote and p_c.
     """
     config.validate()
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
+    scheme = config.scheme
     state = config.initial_state()
+    p_a, aud, p_c, v, beta = state.p_a, state.aud, state.p_c, state.v, state.beta
+    reputations = rep.values(scheme, v, aud, beta)
     change_rounds = {rc.round for rc in config.role_changes}
-    trace, reputations, roster = [], None, _roster(config)
+    table, votes, trace = {}, {}, []
     for r in range(config.horizon):
         if r in change_rounds:
-            config, state = apply_role_changes(config, state, r)
-            roster = _roster(config)
-        state, _, outcome = run_round(config, state, rng, reputations, roster)
-        outcome.round = r
-        reputations = outcome.reputations_after
-        trace.append(outcome)
+            config, state = apply_role_changes(config, ExactState(p_a, aud, p_c, v, beta), r)
+            p_c, table = state.p_c, {}
+        pattern = decide_strategies(p_c, draw)
+        entry = table.get(pattern)
+        if entry is None:
+            entry = table[pattern] = (*_camps(pattern), {})
+        cheaters, honest, cheat, branches = entry
+        audited = draw() < p_a
+        if audited:
+            p_a, aud, v, beta, reputations = _audit(config, p_a, aud, v, beta,
+                                                    cheaters, cheat)
+            tie, honest_win, votes = False, True, {}
+        else:
+            weights = votes.get(pattern)
+            if weights is None:
+                weights = votes[pattern] = _camp_weights(scheme, v, beta, reputations,
+                                                         (honest, cheat))
+            rho_honest, rho_cheat = weights
+            tie = rho_honest == rho_cheat
+            honest_win = draw() < 0.5 if tie else rho_honest > rho_cheat
+        settled = branches.get((audited, honest_win))
+        if settled is None:
+            settled = branches[audited, honest_win] = settle(config, cheaters, audited,
+                                                             honest_win)
+        majority, payoffs, steps = settled
+        p_c = worker_update(p_c, steps)
+        trace.append(RoundOutcome(r, cheaters, audited, majority, tie, honest_win,
+                                  payoffs, reputations, p_a, p_c))
     return trace

@@ -75,6 +75,7 @@ class ScenarioSummary:
     rho: np.ndarray                 # (n, horizon)
     convergence_rounds: tuple       # per-seed Optional[int]
     total_audits: float             # mean over seeds
+    columns: dict                   # seed -> trace_columns of its trace
 
 
 def summarize(name: str, config, traces: dict) -> ScenarioSummary:
@@ -84,9 +85,9 @@ def summarize(name: str, config, traces: dict) -> ScenarioSummary:
     sums = {key: np.zeros(horizon) for key in ("p_a", "audited", "correct",
                                                 "reputation_ratio")}
     sums.update(p_c=np.zeros((horizon, n)), rho=np.zeros((horizon, n)))
-    conv, audits = [], 0
+    conv, audits, columns = [], 0, {}
     for seed in seeds:
-        cols = trace_columns(traces[seed], n)
+        cols = columns[seed] = trace_columns(traces[seed], n)
         for key, total in sums.items():
             total += cols[key]
         audits += np.count_nonzero(cols["audited"])
@@ -97,4 +98,4 @@ def summarize(name: str, config, traces: dict) -> ScenarioSummary:
                            reputation_ratio=mean["reputation_ratio"],
                            p_c=mean["p_c"].T, rho=mean["rho"].T,
                            convergence_rounds=tuple(conv),
-                           total_audits=audits / len(seeds))
+                           total_audits=audits / len(seeds), columns=columns)

@@ -33,7 +33,10 @@ FIXED_PC = {WorkerType.ALTRUISTIC: 0.0, WorkerType.MALICIOUS: 1.0}
 
 
 def clamp(x: float, lo: float, hi: float) -> float:
-    return max(lo, min(hi, x))
+    """max(lo, min(hi, x)), without the two builtin calls: the same value for
+    every input (NaN reads hi, -0.0 at lo = 0.0 reads lo)."""
+    x = x if x < hi else hi
+    return x if x > lo else lo
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from scipy import stats
 
 from . import engine, reputation as rep
 from .engine import Branch
-from .model import GRID_DECIMALS, ExactState, SystemConfig, compute_payoffs
+from .model import GRID_DECIMALS, ExactState, SystemConfig
 
 PROB_TOL = 1e-12
 DEFAULT_MAX_WORKERS = 10
@@ -113,17 +113,12 @@ def _next_p_c(config, state, audited, honest_won=False):
     An audited round has no majority; after a vote a worker is in the
     majority iff its camp won, and `honest_won` says which camp did.
     """
-    n, everyone, nobody = config.n, frozenset(range(config.n)), frozenset()
-    wbys = [w.wby for w in config.workers]
-    honest = compute_payoffs(n, nobody, audited, everyone if honest_won else nobody,
-                             wbys, config.wpc, config.wct)
-    cheated = compute_payoffs(n, everyone, audited,
-                              nobody if audited or honest_won else everyone,
-                              wbys, config.wpc, config.wct)
-    return [tuple(round(engine.worker_update(spec, state.p_c[i], pay[i], cheated=c,
-                                             alpha_w=config.alpha_w), GRID_DECIMALS)
-                  for c, pay in ((False, honest), (True, cheated)))
-            for i, spec in enumerate(config.workers)]
+    honest, cheated = (
+        engine.worker_update(state.p_c, engine.settle(config, cheaters, audited,
+                                                      honest_won)[2])
+        for cheaters in (frozenset(), frozenset(range(config.n))))
+    return [(round(h, GRID_DECIMALS), round(c, GRID_DECIMALS))
+            for h, c in zip(honest, cheated)]
 
 
 def _audited_successors(config, state, cheat):
@@ -311,9 +306,10 @@ def sample_round_keys(config: SystemConfig, state: ExactState, samples: int,
     state = state.canonical()
     state = replace(state, p_a=min(1.0, state.p_a * p_a_scale))
     rng = random.Random(seed)
+    reputations = rep.values(config.scheme, state.v, state.aud, state.beta)
     counts: dict = {}
     for _ in range(samples):
-        _, branch, _ = engine.run_round(config, state, rng)
+        _, branch, _ = engine.run_round(config, state, rng, reputations)
         counts[branch] = counts.get(branch, 0) + 1
     return counts
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class Scheme:
@@ -34,6 +36,12 @@ class Scheme:
 
     def beta_update(self, beta: float, truthful: bool) -> float:
         return beta
+
+    def property2_candidates(self, max_aud: int, beta_depth: int) -> list:
+        """(aud, per-worker (v, beta) candidates) groups the property-2
+        search runs over: every audit count aud <= max_aud with every v <= aud."""
+        return [(aud, [(v, 0.0) for v in range(aud + 1)])
+                for aud in range(1, max_aud + 1)]
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,12 @@ class Type3(Scheme):
 
     def beta_update(self, beta: float, truthful: bool) -> float:
         return beta * self.decay if truthful else beta + self.increment
+
+    def property2_candidates(self, max_aud: int, beta_depth: int) -> list:
+        """One audit count, over the error rates of all-truthful histories of
+        length <= beta_depth (cheating only pushes the rate further above
+        the bound, where reputation is pinned)."""
+        return [(1, [(0, self.beta_init * self.decay ** k) for k in range(beta_depth + 1)])]
 
 
 @dataclass(frozen=True)
@@ -179,21 +193,6 @@ class Property2Counterexample:
     rho_y_after: float
 
 
-def _ordering_flips(scheme, aud, x_counts, y_counts) -> Optional[Property2Counterexample]:
-    rho_x = aggregate(scheme, x_counts, aud)
-    rho_y = aggregate(scheme, y_counts, aud)
-    if rho_x <= rho_y:
-        return None
-    x_after = [audit_update(scheme, v, b, truthful=True) for v, b in x_counts]
-    y_after = [audit_update(scheme, v, b, truthful=True) for v, b in y_counts]
-    rho_x_after = aggregate(scheme, x_after, aud + 1)
-    rho_y_after = aggregate(scheme, y_after, aud + 1)
-    if rho_x_after > rho_y_after:
-        return None
-    return Property2Counterexample(aud, tuple(x_counts), tuple(y_counts),
-                                   rho_x, rho_y, rho_x_after, rho_y_after)
-
-
 def _count_multisets(values: Sequence, max_set_size: int):
     for size in range(1, max_set_size + 1):
         yield from itertools.combinations_with_replacement(values, size)
@@ -204,33 +203,23 @@ def find_property2_counterexample(scheme, max_aud: int = 10,
                                   beta_depth: int = 40):
     """Search for a state violating order preservation under a joint audit.
 
-    For the count-based schemes the search is exhaustive over all audit
-    counts aud <= max_aud and per-worker validation counts v <= aud, with
-    X and Y running over multisets of at most max_set_size workers.  For
-    type 3, reputation depends only on the per-worker error rate, so the
-    search runs over error rates reachable by all-truthful decay histories
-    of length <= beta_depth (cheating only pushes the rate further above the
-    bound, where reputation is pinned).  Returns the first counterexample
-    found, or None.
+    X and Y run over multisets of at most max_set_size workers drawn from
+    the scheme's `property2_candidates`.  Each multiset's aggregate before
+    and after one all-truthful audit is computed once; pairs are compared
+    X-major in multiset order.  Returns the first counterexample, or None.
     """
     if max_aud < 1 or max_set_size < 1:
         raise ValueError("bounds must be at least 1")
-    if isinstance(scheme, NoReputation):
-        return None
-    if isinstance(scheme, Type3):
-        betas = [scheme.beta_init * scheme.decay ** k for k in range(beta_depth + 1)]
-        candidates = [(0, b) for b in betas]
-        for x_counts in _count_multisets(candidates, max_set_size):
-            for y_counts in _count_multisets(candidates, max_set_size):
-                hit = _ordering_flips(scheme, 1, x_counts, y_counts)
-                if hit is not None:
-                    return hit
-        return None
-    for aud in range(1, max_aud + 1):
-        counts = [(v, 0.0) for v in range(aud + 1)]
-        for x_counts in _count_multisets(counts, max_set_size):
-            for y_counts in _count_multisets(counts, max_set_size):
-                hit = _ordering_flips(scheme, aud, x_counts, y_counts)
-                if hit is not None:
-                    return hit
+    for aud, candidates in scheme.property2_candidates(max_aud, beta_depth):
+        sets = list(_count_multisets(candidates, max_set_size))
+        before = [aggregate(scheme, m, aud) for m in sets]
+        after = [aggregate(scheme, [audit_update(scheme, v, b, truthful=True)
+                                    for v, b in m], aud + 1) for m in sets]
+        before_col, after_col = np.array(before), np.array(after)
+        for x in range(len(sets)):
+            flips = np.flatnonzero((before[x] > before_col) & (after[x] <= after_col))
+            if len(flips):
+                y = int(flips[0])
+                return Property2Counterexample(aud, sets[x], sets[y], before[x],
+                                               before[y], after[x], after[y])
     return None

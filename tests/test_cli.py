@@ -192,7 +192,8 @@ def test_writers_match_reference(tmp_path, case):
     summary, traces = scenarios.run_scenario(WRITER_CASES[case], seeds=(1, 2))
     n = WRITER_CASES[case].n
     for seed, trace in traces.items():
-        got = _written(cli.write_trace, tmp_path / "t.csv", seed, trace, n)
+        got = _written(cli.write_trace, tmp_path / "t.csv", seed, trace,
+                       summary.columns[seed])
         assert got == _written(reference_write_trace, tmp_path / "r.csv", seed, trace, n)
     got_summary = _written(cli.write_summary, tmp_path / "s.csv", summary, n)
     assert got_summary == _written(reference_write_summary, tmp_path / "r.csv", summary, n)

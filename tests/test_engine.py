@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repsim import engine, reputation as rep
+from repsim import engine, reputation as rep, scenarios
 from repsim.model import ExactState, RoleChange, SystemConfig, WorkerSpec, WorkerType
 from conftest import make_config
 
@@ -240,12 +240,20 @@ def stepped_trace(cfg, seed):
     return trace
 
 
+def assert_same_trace(trace, reference):
+    """Round by round, the same repr: -0.0 == 0.0, yet the two print
+    differently in a trace file."""
+    assert len(trace) == len(reference)
+    for got, want in zip(trace, reference):
+        assert repr(got) == repr(want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(cfg=mixed_configs(), seed=st.integers(0, 10_000))
 def test_kernel_invariants(cfg, seed):
     trace = engine.run_simulation(cfg, seed)
     assert_kernel_invariants(cfg, trace)
-    assert trace == stepped_trace(cfg, seed)
+    assert_same_trace(trace, stepped_trace(cfg, seed))
 
 
 def test_kernel_invariants_underflowed_type2():
@@ -256,3 +264,14 @@ def test_kernel_invariants_underflowed_type2():
     trace = engine.run_simulation(cfg, seed=1)
     assert trace[-1].reputations_after == (0.0, 0.0, 0.0)
     assert_kernel_invariants(cfg, trace)
+    assert_same_trace(trace, stepped_trace(cfg, 1))
+
+
+def test_kernel_invariants_dynamic500_type2():
+    # five workers turn malicious at round 500: the branch tables are rebuilt
+    cfg = scenarios.get_scenario("dynamic500-type2")
+    assert cfg.role_changes and cfg.horizon > 500
+    trace = engine.run_simulation(cfg, seed=1)
+    assert len(trace) == cfg.horizon
+    assert_kernel_invariants(cfg, trace)
+    assert_same_trace(trace, stepped_trace(cfg, 1))

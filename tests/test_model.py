@@ -13,6 +13,19 @@ def test_clamp():
     assert clamp(7.0, 0.0, 1.0) == 1.0
 
 
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, -1e-300,
+           float("inf"), float("-inf"), float("nan")]
+
+
+@settings(max_examples=300)
+@given(x=st.floats() | st.sampled_from(SPECIAL),
+       lo=st.sampled_from(SPECIAL) | st.floats(),
+       hi=st.sampled_from(SPECIAL) | st.floats())
+def test_clamp_is_max_of_min(x, lo, hi):
+    # the same bits as the builtin form, NaN and signed zeros included
+    assert repr(clamp(x, lo, hi)) == repr(max(lo, min(hi, x)))
+
+
 class TestComputePayoffs:
     def test_audited_round(self):
         # caught cheaters pay wpc, honest workers earn reward minus cost

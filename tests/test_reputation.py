@@ -1,4 +1,6 @@
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -130,3 +132,51 @@ class TestProperty2:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             rep.find_property2_counterexample(rep.Type1(), max_aud=0)
+
+    @pytest.mark.parametrize("scheme", [rep.Type1(), rep.Type2(), rep.Type3(),
+                                        rep.NoReputation()], ids=lambda s: s.name)
+    @pytest.mark.parametrize("bounds", [(1, 1, 0), (3, 2, 8), (5, 3, 12), (2, 4, 5)])
+    def test_search_matches_nested_loop(self, scheme, bounds):
+        max_aud, max_set_size, beta_depth = bounds
+        hit = rep.find_property2_counterexample(scheme, max_aud, max_set_size, beta_depth)
+        want = reference_property2_search(scheme, max_aud, max_set_size, beta_depth)
+        assert repr(hit) == repr(want)
+
+
+def _reference_flip(scheme, aud, x_counts, y_counts):
+    rho_x = rep.aggregate(scheme, x_counts, aud)
+    rho_y = rep.aggregate(scheme, y_counts, aud)
+    if rho_x <= rho_y:
+        return None
+    x_after = [rep.audit_update(scheme, v, b, truthful=True) for v, b in x_counts]
+    y_after = [rep.audit_update(scheme, v, b, truthful=True) for v, b in y_counts]
+    rho_x_after = rep.aggregate(scheme, x_after, aud + 1)
+    rho_y_after = rep.aggregate(scheme, y_after, aud + 1)
+    if rho_x_after > rho_y_after:
+        return None
+    return rep.Property2Counterexample(aud, tuple(x_counts), tuple(y_counts),
+                                       rho_x, rho_y, rho_x_after, rho_y_after)
+
+
+def reference_property2_search(scheme, max_aud, max_set_size, beta_depth):
+    """The property-2 search as a nested loop over every (X, Y) pair, each
+    aggregate computed per pair, schemes told apart by type."""
+    def multisets(values):
+        for size in range(1, max_set_size + 1):
+            yield from itertools.combinations_with_replacement(values, size)
+
+    if isinstance(scheme, rep.NoReputation):
+        return None
+    if isinstance(scheme, rep.Type3):
+        betas = [scheme.beta_init * scheme.decay ** k for k in range(beta_depth + 1)]
+        groups = [(1, [(0, b) for b in betas])]
+    else:
+        groups = [(aud, [(v, 0.0) for v in range(aud + 1)])
+                  for aud in range(1, max_aud + 1)]
+    for aud, counts in groups:
+        for x_counts in multisets(counts):
+            for y_counts in multisets(counts):
+                hit = _reference_flip(scheme, aud, x_counts, y_counts)
+                if hit is not None:
+                    return hit
+    return None
