@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle, reputation as rep, scenarios
-from .model import ExactState, SystemConfig, parse_seeds
+from .model import SystemConfig, parse_seeds
 
 FMT = "%.10g"
 
@@ -120,13 +120,18 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _verdict(line: str, good: bool) -> bool:
+    print(f"{line} {'PASS' if good else 'FAIL'}")
+    return good
+
+
 def _verify_property1(args) -> bool:
     n = 9
+    horizon = 500 if args.horizon is None else args.horizon
     ok = True
     for name in ("type1", "type2", "type3"):
         scheme = rep.scheme_from_name(name)
-        holds = all(rep.check_property1(scheme, x, n - x, horizon=args.horizon or 500)
-                    for x in range(1, n))
+        holds = all(rep.check_property1(scheme, x, n - x, horizon) for x in range(1, n))
         print(f"property1 {name}: {'PASS' if holds else 'FAIL'} "
               f"(all splits of {n} workers)")
         ok &= holds
@@ -139,86 +144,46 @@ def _verify_property2(args) -> bool:
         scheme = rep.scheme_from_name(name)
         hit = rep.find_property2_counterexample(scheme, max_aud=args.max_aud,
                                                 max_set_size=args.max_set_size)
-        expect_counterexample = name != "type2"
-        good = (hit is not None) == expect_counterexample
+        # type 2 preserves the ordering under a joint audit; types 1 and 3 do not
+        good = (hit is None) == (name == "type2")
         if hit is None:
-            print(f"property2 {name}: no counterexample within bounds "
-                  f"{'PASS' if good else 'FAIL'}")
+            ok &= _verdict(f"property2 {name}: no counterexample within bounds", good)
         else:
-            print(f"property2 {name}: counterexample at aud={hit.aud} "
-                  f"X={hit.x_counts} Y={hit.y_counts} "
-                  f"({hit.rho_x_before:.4g}>{hit.rho_y_before:.4g} then "
-                  f"{hit.rho_x_after:.4g}<={hit.rho_y_after:.4g}) "
-                  f"{'PASS' if good else 'FAIL'}")
-        ok &= good
+            ok &= _verdict(f"property2 {name}: counterexample at aud={hit.aud} "
+                           f"X={hit.x_counts} Y={hit.y_counts} "
+                           f"({hit.rho_x_before:.4g}>{hit.rho_y_before:.4g} then "
+                           f"{hit.rho_x_after:.4g}<={hit.rho_y_after:.4g})", good)
     return ok
 
 
 def _verify_lemma1(args) -> bool:
-    config, trap, trapped = scenarios.all_cheat_trap()
-    closed = oracle.check_closed(config, [trap], trapped)
-    try:
-        prob = oracle.reach_probability(config, oracle.state_from_config(config),
-                                        trapped, horizon=args.horizon or 200,
-                                        max_states=5000)
-        note = "exact"
-    except oracle.OracleBoundError as exc:
-        prob, note = exc.lower_bound, "lower bound"
-    good = closed and prob > 0.0
-    print(f"lemma1: all-cheat set closed={closed}, "
-          f"reach probability {note} {prob:.6g} {'PASS' if good else 'FAIL'}")
-    return good
-
-
-def _mixed_state() -> tuple:
-    cfg = scenarios.get_scenario("rational9-type2-pc1")
-    cfg.workers = [replace(w, p_c0=p) for w, p in zip(cfg.workers[:3], (0.3, 0.5, 0.8))]
-    cfg.validate()
-    return cfg, oracle.state_from_config(cfg)
+    closed = scenarios.trap_is_closed()
+    prob, exact = (scenarios.trap_reach_probability() if args.horizon is None
+                   else scenarios.trap_reach_probability(args.horizon))
+    return _verdict(f"lemma1: all-cheat set closed={closed}, reach probability "
+                    f"{'exact' if exact else 'lower bound'} {prob:.6g}",
+                    closed and prob > 0.0)
 
 
 def _verify_transitions(args) -> bool:
-    config, state = _mixed_state()
-    report = oracle.compare_engine_distribution(config, state,
+    config = scenarios.mixed_roster()
+    report = oracle.compare_engine_distribution(config, config.initial_state(),
                                                 samples=args.samples,
                                                 significance=args.significance)
-    print(f"transitions: chi2={report.statistic:.3f} p={report.p_value:.4g} "
-          f"over {report.bins} bins, {report.samples} samples "
-          f"{'PASS' if report.passed else 'FAIL'}")
-    return report.passed
+    return _verdict(f"transitions: chi2={report.statistic:.3f} p={report.p_value:.4g} "
+                    f"over {report.bins} bins, {report.samples} samples", report.passed)
 
 
 def _verify_closed_sets(args) -> bool:
-    ok = True
-
-    config, trap, trapped = scenarios.all_cheat_trap()
-    closed = oracle.check_closed(config, [trap], trapped)
-    print(f"closed-sets: all-cheat untruthful set closed={closed} "
-          f"{'PASS' if closed else 'FAIL'}")
-    ok &= closed
-
-    covered = scenarios.get_scenario("rational9-type2-pc1")
-    covered.workers = covered.workers[:3]
-    covered.validate()
-    honest = ExactState(p_a=0.5, aud=1, p_c=(0.0, 0.0, 0.0),
-                        v=(1, 1, 1), beta=(0.0, 0.0, 0.0))
-    closed = oracle.check_closed(
-        covered, [honest], lambda s: all(p == 0.0 for p in s.p_c),
-        project=lambda s: (s.p_a, s.p_c, tuple(s.aud - v for v in s.v)))
-    print(f"closed-sets: covered honest set (type 2) closed={closed} "
-          f"{'PASS' if closed else 'FAIL'}")
-    ok &= closed
-
-    uncovered = scenarios.get_scenario("rational9-type2-pc1")
-    uncovered.workers = [replace(w, wby=0.1) for w in uncovered.workers[:3]]
-    uncovered.validate()
-    escape = oracle.find_escape(
-        uncovered, [honest], lambda s: all(p == 0.0 for p in s.p_c),
-        project=lambda s: (s.p_a, s.p_c, tuple(s.aud - v for v in s.v)))
-    good = escape is not None
-    print(f"closed-sets: uncovered honest set closed={escape is None} "
-          f"{'PASS' if good else 'FAIL'}")
-    ok &= good
+    closed = scenarios.trap_is_closed()
+    ok = _verdict(f"closed-sets: all-cheat untruthful set closed={closed}", closed)
+    config, seed, predicate, project = scenarios.all_honest_set()
+    closed = oracle.check_closed(config, [seed], predicate, project=project)
+    ok &= _verdict(f"closed-sets: covered honest set (type 2) closed={closed}", closed)
+    config, seed, predicate, project = scenarios.all_honest_set(covered=False)
+    escape = oracle.find_escape(config, [seed], predicate, project=project)
+    ok &= _verdict(f"closed-sets: uncovered honest set closed={escape is None}",
+                   escape is not None)
     return ok
 
 
@@ -241,6 +206,19 @@ def cmd_verify(args) -> int:
             print(f"{name}: resource bound exceeded: {exc}", file=sys.stderr)
             ok = False
     return 0 if ok else 1
+
+
+def _checked(cast, accept, expected: str):
+    """An argparse type: `cast(text)` if `accept` takes it, else a one-line error."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,11 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check properties and lemma instances")
     verify.add_argument("suite", choices=sorted(VERIFY_SUITES) + ["all"])
-    verify.add_argument("--max-aud", type=int, default=10)
-    verify.add_argument("--max-set-size", type=int, default=3)
-    verify.add_argument("--horizon", type=int)
-    verify.add_argument("--samples", type=int, default=100_000)
-    verify.add_argument("--significance", type=float, default=0.01)
+    positive = _checked(int, lambda x: x > 0, "a positive integer")
+    verify.add_argument("--max-aud", type=positive, default=10)
+    verify.add_argument("--max-set-size", type=positive, default=3)
+    verify.add_argument("--horizon", type=positive)
+    verify.add_argument("--samples", type=positive, default=100_000)
+    verify.add_argument("--significance", default=0.01, type=_checked(
+        float, lambda x: 0.0 < x < 1.0, "a number strictly between 0 and 1"))
     verify.set_defaults(fn=cmd_verify)
 
     ls = sub.add_parser("list-scenarios", help="print the preset catalog")

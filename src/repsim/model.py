@@ -96,11 +96,6 @@ class RoundOutcome:
     p_c_after: tuple
 
 
-def is_covered(worker, wct: float) -> bool:
-    """True iff honest work can satisfy the worker's aspiration."""
-    return worker.wby >= worker.aspiration + wct
-
-
 def compute_payoffs(n: int, cheaters: frozenset, audited: bool,
                     majority: frozenset, wbys: Sequence[float],
                     wpc: float, wct: float) -> tuple:

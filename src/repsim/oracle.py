@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from .engine import Branch
 from .model import GRID_DECIMALS, ExactState, SystemConfig
 
 PROB_TOL = 1e-12
-DEFAULT_MAX_WORKERS = 10
+MAX_WORKERS = 10
 
 
 class OracleBoundError(RuntimeError):
@@ -50,17 +50,12 @@ class TransitionDistribution:
         return sum(p for p, _, _ in self.successors)
 
 
-def state_from_config(config: SystemConfig) -> ExactState:
-    return config.initial_state().canonical()
-
-
 @functools.lru_cache(maxsize=8)
 def _cheater_table(n: int):
     """All 2^n cheater sets of an n-roster, in `itertools.product` order.
 
     Returns (bits, sets, row): the (2^n x n) boolean bit-matrix, the same
-    sets as frozensets, and frozenset -> row of `bits`.  A few roster sizes
-    are kept, since callers may raise `max_workers`.
+    sets as frozensets, and frozenset -> row of `bits`.
     """
     bits = np.array(list(itertools.product((False, True), repeat=n)),
                     dtype=bool).reshape(2 ** n, n)
@@ -156,13 +151,12 @@ def _kernel_branches(config, state, cheaters, audited, mass):
             (0.5 * mass, lost_branch, lost.canonical())]
 
 
-def enumerate_transitions(config: SystemConfig, state: ExactState,
-                          max_workers: int = DEFAULT_MAX_WORKERS) -> TransitionDistribution:
+def enumerate_transitions(config: SystemConfig, state: ExactState) -> TransitionDistribution:
     """Exact one-step distribution from `state`.
 
     Ties in the unaudited weighted majority split into two half-probability
-    branches instead of consuming randomness.  Raises RuntimeError when the
-    branch masses miss 1 by more than PROB_TOL.
+    branches instead of consuming randomness.  Raises OracleBoundError past
+    MAX_WORKERS workers, RuntimeError if the masses miss 1 by over PROB_TOL.
 
     Given the audit flag, a worker's successor entries depend only on whether
     it cheated and, after a vote, on which camp won, so they are tabulated
@@ -172,9 +166,9 @@ def enumerate_transitions(config: SystemConfig, state: ExactState,
     `engine.round_successor`.
     """
     n = len(config.workers)
-    if n > max_workers:
+    if n > MAX_WORKERS:
         raise OracleBoundError(f"roster of {n} exceeds the enumeration "
-                               f"bound of {max_workers} workers")
+                               f"bound of {MAX_WORKERS} workers")
     state = state.canonical()
     sets = cheater_set_probabilities(state)
     bits, _, row = _cheater_table(n)
@@ -297,14 +291,9 @@ def check_closed(config: SystemConfig, seeds, predicate,
 
 
 def sample_round_keys(config: SystemConfig, state: ExactState, samples: int,
-                      seed: int = 0, p_a_scale: float = 1.0) -> dict:
-    """Engine one-round outcomes from `state`, counted by Branch.
-
-    `p_a_scale` deliberately mis-scales the audit probability; anything but
-    1.0 yields a corrupted sampler for mutation testing.
-    """
+                      seed: int = 0) -> dict:
+    """Engine one-round outcomes from `state`, counted by Branch."""
     state = state.canonical()
-    state = replace(state, p_a=min(1.0, state.p_a * p_a_scale))
     rng = random.Random(seed)
     reputations = rep.values(config.scheme, state.v, state.aud, state.beta)
     counts: dict = {}

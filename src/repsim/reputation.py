@@ -157,14 +157,12 @@ def aggregate(scheme, members: Iterable, aud: int) -> float:
     return sum(value(scheme, v, aud, beta) for v, beta in members)
 
 
-def check_property1(scheme, x_size: int, y_size: int, horizon: int,
-                    prefix_cheats_x: int = 0) -> bool:
+def check_property1(scheme, x_size: int, y_size: int, horizon: int) -> bool:
     """Limit-ordering check under the always-audit witness schedule.
 
-    X workers are truthful in every audit and Y workers never are, after an
-    optional prefix in which even the X workers cheat.  True iff there is an
-    r* within the horizon after which the aggregate reputation of X strictly
-    exceeds that of Y through the horizon.
+    X workers are truthful in every audit and Y workers never are.  True
+    iff there is an r* within the horizon after which the aggregate
+    reputation of X strictly exceeds that of Y through the horizon.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -172,8 +170,7 @@ def check_property1(scheme, x_size: int, y_size: int, horizon: int,
     y = [(0, scheme.beta_init)] * y_size
     last_violation = 0
     for r in range(1, horizon + 1):
-        x_truthful = r > prefix_cheats_x
-        x = [audit_update(scheme, v, b, truthful=x_truthful) for v, b in x]
+        x = [audit_update(scheme, v, b, truthful=True) for v, b in x]
         y = [audit_update(scheme, v, b, truthful=False) for v, b in y]
         if aggregate(scheme, x, r) <= aggregate(scheme, y, r):
             last_violation = r

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from . import metrics, reputation as rep
+from . import metrics, oracle, reputation as rep
 from .engine import run_simulation
 from .model import ExactState, RoleChange, SystemConfig, WorkerSpec, WorkerType
 
@@ -110,6 +110,8 @@ def run_scenario(name_or_config, seeds=None):
     return metrics.summarize(name, config, traces), traces
 
 
+# -- the claims `repsim verify`, demo 05 and the acceptance tests check -------
+
 def all_cheat_trap():
     """The all-cheat trap without an audit floor: (config, trap, predicate).
 
@@ -122,3 +124,38 @@ def all_cheat_trap():
                           scheme=rep.Type2(), p_a0=0.0, p_a_min=0.0).validate()
     trap = ExactState(p_a=0.0, aud=0, p_c=(1.0,) * 3, v=(0,) * 3, beta=(0.0,) * 3)
     return config, trap, lambda s: s.p_a == 0.0 and all(p == 1.0 for p in s.p_c)
+
+
+def trap_is_closed() -> bool:
+    """Whether no transition leaves the all-cheat trap."""
+    config, trap, trapped = all_cheat_trap()
+    return oracle.check_closed(config, [trap], trapped)
+
+
+def trap_reach_probability(horizon: int = 200):
+    """(probability, exact) of reaching the trap from its config's start within
+    `horizon` rounds; past 5,000 frontier states, the mass absorbed so far."""
+    config, _, trapped = all_cheat_trap()
+    try:
+        return oracle.reach_probability(config, config.initial_state(), trapped,
+                                        horizon, max_states=5000), True
+    except oracle.OracleBoundError as exc:
+        return exc.lower_bound, False
+
+
+def all_honest_set(covered: bool = True):
+    """Three type 2 workers that stopped cheating: (config, seed, predicate,
+    project).  The seed follows one all-truthful audit; type 2 sees only
+    aud - v, so `project` keeps that.  The set is closed for covered workers
+    and has an escape for uncovered ones (wby `UNCOVERED_WBY`)."""
+    wby = 1.0 if covered else UNCOVERED_WBY
+    config = _config("type2", _workers([(WorkerType.RATIONAL, 3, 1.0, wby)])).validate()
+    seed = ExactState(p_a=0.5, aud=1, p_c=(0.0,) * 3, v=(1,) * 3, beta=(0.0,) * 3)
+    return (config, seed, lambda s: all(p == 0.0 for p in s.p_c),
+            lambda s: (s.p_a, s.p_c, tuple(s.aud - v for v in s.v)))
+
+
+def mixed_roster() -> SystemConfig:
+    """Three rational type 2 workers at p_c 0.3, 0.5 and 0.8: the roster whose
+    one-round distribution the engine's sampler is tested against."""
+    return _config("type2", [WorkerSpec(p_c0=p) for p in (0.3, 0.5, 0.8)]).validate()

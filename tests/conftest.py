@@ -1,5 +1,10 @@
+import contextlib
+import functools
+import io
+
 import pytest
 
+from repsim import cli
 from repsim.model import SystemConfig, WorkerSpec, WorkerType
 from repsim.reputation import scheme_from_name
 
@@ -10,6 +15,17 @@ def make_config(n=3, scheme="none", p_c0=0.5, wby=1.0, **overrides):
                for _ in range(n)]
     cfg = SystemConfig(workers=workers, scheme=scheme_from_name(scheme), **overrides)
     return cfg.validate()
+
+
+@functools.lru_cache(maxsize=None)
+def verify_stdout(suite):
+    """(exit code, stdout) of `repsim verify <suite>` at the CLI defaults,
+    run once per test session: the CLI tests pin the text, the acceptance
+    tests read their verdicts from it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", suite])
+    return code, out.getvalue()
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ than by calling back into the code under test.
 """
 import functools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from repsim import cli, engine, metrics, oracle, reputation as rep, scenarios
 from repsim.model import SystemConfig, WorkerSpec
+from conftest import verify_stdout
 
 EXACT = 1e-12
 
@@ -98,48 +100,41 @@ def test_cheat_probability_transition_deltas():
         assert abs(state.p_c[idx] - (0.5 + delta)) < EXACT, (cheaters, audited, idx)
 
 
-# -- 3. ordering properties -------------------------------------------------
+# -- 3-5. the claims `repsim verify` checks ---------------------------------
+# Each claim's setup and expected verdict are defined once, in `repsim.cli`
+# and `repsim.scenarios`; these criteria read the verdicts from the suites'
+# stdout at the CLI defaults, whose text `tests/test_cli.py` pins.
+
+def assert_verify_passes(suite, lines):
+    code, out = verify_stdout(suite)
+    assert code == 0 and len(out.splitlines()) == lines, out
+    assert all(line.endswith(" PASS") or ": PASS " in line
+               for line in out.splitlines()), out
+    return out
+
 
 def test_limit_ordering_and_its_preservation():
-    for name in ("type1", "type2", "type3"):
-        scheme = rep.scheme_from_name(name)
-        for x in range(1, 9):
-            assert rep.check_property1(scheme, x, 9 - x, horizon=500), (name, x)
-    assert rep.find_property2_counterexample(
-        rep.Type2(), max_aud=10, max_set_size=3) is None
-    for name in ("type1", "type3"):
-        hit = rep.find_property2_counterexample(
-            rep.scheme_from_name(name), max_aud=10, max_set_size=3)
-        assert hit is not None, name
+    assert_verify_passes("property1", 3)
+    assert_verify_passes("property2", 3)
 
 
 # -- 4. the all-cheat trap without an audit floor ---------------------------
 
 def test_all_cheat_set_closed_and_reachable():
-    cfg, trap, trapped = scenarios.all_cheat_trap()
-    assert oracle.check_closed(cfg, [trap], trapped)
-    try:
-        prob = oracle.reach_probability(cfg, oracle.state_from_config(cfg),
-                                        trapped, horizon=200, max_states=5000)
-    except oracle.OracleBoundError as exc:
-        prob = exc.lower_bound
+    out = assert_verify_passes("lemma1", 1)
+    assert "closed=True" in out
+    prob = float(out.split("reach probability ")[1].split()[-2])
     assert prob > 0.0
 
 
 # -- 5. engine vs. exact one-round distribution -----------------------------
 
-def mixed_state():
-    cfg = SystemConfig(workers=[WorkerSpec(p_c0=p) for p in (0.3, 0.5, 0.8)],
-                       scheme=rep.Type2()).validate()
-    return cfg, oracle.state_from_config(cfg)
-
-
 def test_engine_matches_exact_distribution():
-    cfg, state = mixed_state()
-    report = oracle.compare_engine_distribution(cfg, state, samples=100_000,
-                                                significance=0.01)
-    assert report.passed, (report.statistic, report.p_value)
-    corrupted = oracle.sample_round_keys(cfg, state, 100_000, p_a_scale=0.6)
+    assert_verify_passes("transitions", 1)
+    cfg = scenarios.mixed_roster()
+    state = cfg.initial_state()
+    # a sampler that audits at 0.6 times the state's p_a
+    corrupted = oracle.sample_round_keys(cfg, replace(state, p_a=0.6 * state.p_a), 100_000)
     bad = oracle.compare_engine_distribution(cfg, state, significance=0.01,
                                              counts=corrupted)
     assert not bad.passed

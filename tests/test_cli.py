@@ -5,6 +5,7 @@ import pytest
 from repsim import cli, scenarios
 from repsim.model import SystemConfig, WorkerSpec, WorkerType
 from repsim.reputation import scheme_from_name
+from conftest import verify_stdout
 
 
 def run_cli(*argv):
@@ -117,9 +118,50 @@ def test_bad_seeds_named_by_flag(tmp_path, capsys, seeds, message):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("suite", ["property2", "closed-sets"])
+#: `repsim verify <suite>` stdout at the CLI defaults, as first recorded.
+VERIFY_STDOUT = {
+    "property1":
+        "property1 type1: PASS (all splits of 9 workers)\n"
+        "property1 type2: PASS (all splits of 9 workers)\n"
+        "property1 type3: PASS (all splits of 9 workers)\n",
+    "property2":
+        "property2 type1: counterexample at aud=1 X=((1, 0.0), (1, 0.0)) "
+        "Y=((0, 0.0), (0, 0.0), (0, 0.0)) (1.333>1 then 1.5<=1.5) PASS\n"
+        "property2 type2: no counterexample within bounds PASS\n"
+        "property2 type3: counterexample at aud=1 X=((0, 0.046329123015975304),) "
+        "Y=((0, 0.04876749791155296), (0, 0.04876749791155296)) "
+        "(0.03741>0.0248 then 0.06178<=0.07482) PASS\n",
+    "lemma1":
+        "lemma1: all-cheat set closed=True, reach probability lower bound 0.255871 PASS\n",
+    "transitions":
+        "transitions: chi2=10.874 p=0.7614 over 16 bins, 100000 samples PASS\n",
+    "closed-sets":
+        "closed-sets: all-cheat untruthful set closed=True PASS\n"
+        "closed-sets: covered honest set (type 2) closed=True PASS\n"
+        "closed-sets: uncovered honest set closed=False PASS\n",
+}
+
+
+@pytest.mark.parametrize("suite", list(VERIFY_STDOUT))
 def test_verify_suites_pass(suite):
-    assert run_cli("verify", suite) == 0
+    assert verify_stdout(suite) == (0, VERIFY_STDOUT[suite])
+
+
+@pytest.mark.parametrize("suite,flag,value", [
+    ("lemma1", "--horizon", "0"),
+    ("property1", "--horizon", "-5"),
+    ("property2", "--max-aud", "0"),
+    ("property2", "--max-set-size", "0"),
+    ("transitions", "--samples", "0"),
+    ("transitions", "--significance", "2"),
+])
+def test_verify_rejects_bad_flags(capsys, suite, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", suite, flag, value)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"repsim verify: error: argument {flag}: ")
 
 
 # -- reference writers: every field formatted on its own -------------------------

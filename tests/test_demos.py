@@ -1,8 +1,10 @@
 """Demo output pinned byte for byte.
 
 Demos 01-04 print seed-averaged results of the sampling engine, so any
-change to a trace shows up in their stdout.  Each runs in a fresh
-interpreter; a change that moves one printed byte fails here.
+change to a trace shows up in their stdout; demo 05 prints the exact
+oracle's branch count, closedness and reach bound, and the chi-square
+statistic of the engine's sampler.  Each runs in a fresh interpreter; a
+change that moves one printed byte fails here.
 """
 import hashlib
 import os
@@ -23,6 +25,8 @@ STDOUT_SHA256 = {
         "fd9c740c5399bec66400db9ad912d0556d07e2b2d12930970d844109bd6d3b17",
     "04_dynamic_change.py":
         "ac0e4594b6054b8a6cb08e3c9b0558e73f370f4c5f7e32099a986e49ae8540a1",
+    "05_exact_chain.py":
+        "73519e640decf9574959fbe844b303a6a9ee695e72821dd2d7e33c0cf31fc4c0",
 }
 
 

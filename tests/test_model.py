@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repsim.model import (ConfigError, ExactState, RoleChange, SystemConfig,
-                          WorkerSpec, WorkerType, clamp, compute_payoffs,
-                          is_covered)
+                          WorkerSpec, WorkerType, clamp, compute_payoffs)
 from repsim import reputation as rep
 
 
@@ -47,13 +46,6 @@ class TestComputePayoffs:
         with pytest.raises(ValueError):
             compute_payoffs(2, frozenset(), True, frozenset({0}),
                             wbys=[1.0, 1.0], wpc=0.0, wct=0.1)
-
-
-def test_is_covered_boundary():
-    covered = WorkerSpec(wby=0.2, aspiration=0.1)
-    uncovered = WorkerSpec(wby=0.19, aspiration=0.1)
-    assert is_covered(covered, wct=0.1)
-    assert not is_covered(uncovered, wct=0.1)
 
 
 class TestConfigValidation:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repsim import engine, oracle, reputation as rep
+from repsim import engine, oracle, reputation as rep, scenarios
 from repsim.engine import Branch
 from repsim.model import FIXED_PC, ExactState, SystemConfig, WorkerSpec, WorkerType
 from conftest import make_config
@@ -17,7 +17,7 @@ SCHEMES = ["type1", "type2", "type3", "none"]
 
 
 def exact_state(cfg):
-    return oracle.state_from_config(cfg)
+    return cfg.initial_state().canonical()
 
 
 def reference_cheater_sets(state):
@@ -104,16 +104,9 @@ def underflowed_state():
                               beta=(0.0,) * 3)
 
 
-def mixed_config():
-    cfg = make_config(n=3, scheme="type2", p_c0=1.0)
-    cfg.workers = [replace(w, p_c0=p)
-                   for w, p in zip(cfg.workers, (0.3, 0.5, 0.8))]
-    return cfg.validate()
-
-
 class TestCheaterSets:
     def test_all_subsets_enumerated(self):
-        state = exact_state(mixed_config())
+        state = exact_state(scenarios.mixed_roster())
         sets = oracle.cheater_set_probabilities(state)
         assert len(sets) == 8
         assert abs(sum(p for _, p in sets) - 1.0) < TOL
@@ -135,7 +128,8 @@ class TestCheaterSets:
 
 class TestEnumeration:
     def test_distribution_sums_to_one(self):
-        dist = oracle.enumerate_transitions(mixed_config(), exact_state(mixed_config()))
+        cfg = scenarios.mixed_roster()
+        dist = oracle.enumerate_transitions(cfg, exact_state(cfg))
         assert abs(dist.total() - 1.0) < TOL
 
     def test_deterministic_state_single_branch(self):
@@ -159,14 +153,14 @@ class TestEnumeration:
         real = oracle.cheater_set_probabilities
         monkeypatch.setattr(oracle, "cheater_set_probabilities",
                             lambda state: [(f, 0.9 * p) for f, p in real(state)])
-        cfg = mixed_config()
+        cfg = scenarios.mixed_roster()
         with pytest.raises(RuntimeError, match="mass"):
             oracle.enumerate_transitions(cfg, exact_state(cfg))
 
     def test_roster_bound(self):
-        cfg = make_config(n=3, scheme="none")
-        with pytest.raises(oracle.OracleBoundError):
-            oracle.enumerate_transitions(cfg, exact_state(cfg), max_workers=2)
+        cfg = make_config(n=oracle.MAX_WORKERS + 1, scheme="none")
+        with pytest.raises(oracle.OracleBoundError, match="bound of 10 workers"):
+            oracle.enumerate_transitions(cfg, exact_state(cfg))
 
     @settings(max_examples=30, deadline=None)
     @given(p_cs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
@@ -286,7 +280,7 @@ class TestClosedSets:
 
 class TestEngineAgreement:
     def test_sampler_matches_enumeration(self):
-        cfg = mixed_config()
+        cfg = scenarios.mixed_roster()
         report = oracle.compare_engine_distribution(cfg, exact_state(cfg),
                                                     samples=20_000)
         assert report.passed
@@ -313,14 +307,15 @@ class TestEngineAgreement:
         assert sum(c for b, c in counts.items() if b.tie_outcome is not None) > 0
 
     def test_corrupted_sampler_detected(self):
-        cfg = mixed_config()
+        cfg = scenarios.mixed_roster()
         state = exact_state(cfg)
-        counts = oracle.sample_round_keys(cfg, state, 20_000, p_a_scale=0.5)
+        # a sampler that audits half as often as the state says
+        counts = oracle.sample_round_keys(cfg, replace(state, p_a=0.5 * state.p_a), 20_000)
         report = oracle.compare_engine_distribution(cfg, state, counts=counts)
         assert not report.passed
 
     def test_impossible_outcome_is_certain_failure(self):
-        cfg = mixed_config()
+        cfg = scenarios.mixed_roster()
         state = exact_state(cfg)
         counts = {Branch(frozenset({0, 1, 2}), True, True): 100}
         report = oracle.compare_engine_distribution(cfg, state, counts=counts)
