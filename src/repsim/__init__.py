@@ -5,7 +5,7 @@ from .model import (ConfigError, ExactState, RoleChange, RoundOutcome,
 from .reputation import (NoReputation, Type1, Type2, Type3,
                          check_property1, find_property2_counterexample,
                          scheme_from_name)
-from .engine import run_round, run_simulation
+from .engine import run_simulation
 from .oracle import (OracleBoundError, TransitionDistribution,
                      check_closed, compare_engine_distribution,
                      enumerate_transitions, find_escape, reach_probability)

@@ -167,9 +167,13 @@ def _verify_lemma1(args) -> bool:
 
 def _verify_transitions(args) -> bool:
     config = scenarios.mixed_roster()
-    report = oracle.compare_engine_distribution(config, config.initial_state(),
-                                                samples=args.samples,
-                                                significance=args.significance)
+    try:
+        report = oracle.compare_engine_distribution(config, config.initial_state(),
+                                                    samples=args.samples,
+                                                    significance=args.significance)
+    except ValueError as exc:   # too few samples for a test: no verdict
+        print(f"repsim verify: error: argument --samples: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     return _verdict(f"transitions: chi2={report.statistic:.3f} p={report.p_value:.4g} "
                     f"over {report.bins} bins, {report.samples} samples", report.passed)
 

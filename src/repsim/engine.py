@@ -1,10 +1,10 @@
 """Round loop: strategy draws, auditing, weighted majority and learning.
 
-`round_successor` is the pure one-round transition (config, state, cheater
-set, audited flag, tie coin), which `run_round` and the exact Markov
-enumerator call.  `run_simulation` steps the same rule functions from
-per-roster branch tables, so its states agree bit-for-bit with the kernel's.
-The chain state is `model.ExactState`; the knobs are read from the config.
+`_draw_branch` turns one round's uniforms into a branch (cheat pattern, audit
+flag, vote).  `run_simulation` steps the chain from it, settling each branch
+once per roster; the oracle's sampler counts its branches from one fixed
+state.  The chain state is `model.ExactState`; the knobs are read from the
+config.
 """
 from __future__ import annotations
 
@@ -37,13 +37,6 @@ def decide_strategies(p_c, draw) -> tuple:
     return tuple([draw() < p for p in p_c])
 
 
-def _camps(pattern):
-    """(cheater set, honest indices, cheater indices) of a cheat pattern."""
-    return (frozenset(i for i, c in enumerate(pattern) if c),
-            [i for i, c in enumerate(pattern) if not c],
-            [i for i, c in enumerate(pattern) if c])
-
-
 def _camp_weights(scheme, v, beta, reps, camps):
     """Sum of `reps` over each camp in `camps` (sequences of worker indices).
 
@@ -61,17 +54,30 @@ def _camp_weights(scheme, v, beta, reps, camps):
     return weights
 
 
-def weighted_majority(scheme, state: ExactState, cheaters: frozenset, reps=None):
-    """Aggregate reputations of the two camps (`reps`: those of `state`, if known).
+def _draw_branch(draw, scheme, p_a, p_c, v, beta, reputations, camps, votes):
+    """One round's branch from the uniforms of `draw`.
 
-    Returns (rho_honest, rho_cheat, tie).  All cheaters return one identical
-    wrong value, so the vote is camp-against-camp.
+    Draw order: n strategy uniforms (ascending index), one audit uniform,
+    then one tie uniform only if the vote ties.  `camps` keeps each cheat
+    pattern's (cheater set, honest indices, cheater indices, settled
+    branches); `votes` keeps each pattern's camp weights under
+    `reputations`, so it must be emptied when they change.  Returns
+    (camps entry, audited, tie, honest_win).
     """
-    reps = reps or rep.values(scheme, state.v, state.aud, state.beta)
-    honest = [i for i in range(len(reps)) if i not in cheaters]
-    rho_honest, rho_cheat = _camp_weights(scheme, state.v, state.beta, reps,
-                                          (honest, sorted(cheaters)))
-    return rho_honest, rho_cheat, rho_honest == rho_cheat
+    pattern = decide_strategies(p_c, draw)
+    entry = camps.get(pattern)
+    if entry is None:
+        entry = camps[pattern] = (frozenset(i for i, c in enumerate(pattern) if c),
+                                  [i for i, c in enumerate(pattern) if not c],
+                                  [i for i, c in enumerate(pattern) if c], {})
+    if draw() < p_a:
+        return entry, True, False, True
+    weights = votes.get(pattern)
+    if weights is None:
+        weights = votes[pattern] = _camp_weights(scheme, v, beta, reputations, entry[1:3])
+    rho_honest, rho_cheat = weights
+    tie = rho_honest == rho_cheat
+    return entry, False, tie, draw() < 0.5 if tie else rho_honest > rho_cheat
 
 
 def master_update(config: SystemConfig, p_a: float, rho_cheat: float,
@@ -122,55 +128,6 @@ def settle(config: SystemConfig, cheaters: frozenset, audited: bool, honest_win:
     return majority, payoffs, steps
 
 
-def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset,
-                    audited: bool, tie_coin=None, reputations=None):
-    """Pure one-round transition.
-
-    `tie_coin` is a zero-argument callable that resolves a reputation tie in
-    an unaudited round (True: the honest camp wins); it is called only when
-    a tie actually occurs.  A caller that already has the workers'
-    `reputations` in `state` passes them.  Returns (state', branch, outcome)
-    with outcome.round left at -1.
-    """
-    if audited:
-        p_a, aud, v, beta, reputations = _audit(config, state.p_a, state.aud, state.v,
-                                                state.beta, cheaters, sorted(cheaters))
-        honest_win, branch = True, Branch(cheaters, True)
-    else:
-        reputations = reputations or rep.values(config.scheme, state.v, state.aud,
-                                                state.beta)
-        rho_honest, rho_cheat, tie = weighted_majority(config.scheme, state, cheaters,
-                                                       reputations)
-        if tie:
-            if tie_coin is None:
-                raise ValueError("tie occurred but no tie coin was supplied")
-            honest_win = bool(tie_coin())
-            branch = Branch(cheaters, False, honest_win)
-        else:
-            honest_win = rho_honest > rho_cheat
-            branch = Branch(cheaters, False)
-        p_a, aud, v, beta = state.p_a, state.aud, state.v, state.beta
-
-    majority, payoffs, steps = settle(config, cheaters, audited, honest_win)
-    p_c = worker_update(state.p_c, steps)
-    outcome = RoundOutcome(-1, cheaters, audited, majority, branch.tie_outcome is not None,
-                           honest_win, payoffs, reputations, p_a, p_c)
-    return ExactState(p_a, aud, p_c, v, beta), branch, outcome
-
-
-def run_round(config: SystemConfig, state: ExactState, rng: random.Random,
-              reputations=None):
-    """One sampled round; returns round_successor's (state', branch, outcome).
-
-    RNG draw order is fixed: n strategy uniforms (ascending index), one
-    audit uniform, then one tie uniform only if a tie actually occurs.
-    """
-    cheaters = _camps(decide_strategies(state.p_c, rng.random))[0]
-    audited = rng.random() < state.p_a
-    return round_successor(config, state, cheaters, audited,
-                           lambda: rng.random() < 0.5, reputations)
-
-
 def apply_role_changes(config: SystemConfig, state: ExactState, round_: int):
     """Swap worker types scheduled for `round_`: returns (config', state').
 
@@ -190,12 +147,12 @@ def apply_role_changes(config: SystemConfig, state: ExactState, round_: int):
 def run_simulation(config: SystemConfig, seed: int) -> list:
     """Full deterministic run: one trace of RoundOutcome per round.
 
-    Does what `run_round` does, in its draw order, without calling it.  A
-    worker's payoff and learning step depend only on whether it cheated, the
-    audit flag and which camp won, so each branch (cheat pattern, audited,
-    honest_win) is settled once per roster; the table is rebuilt at a role
-    change.  Camp sums are kept per cheat pattern until an audit moves the
-    reputations.  Per round are left the draws, `_audit`, the vote and p_c.
+    A worker's payoff and learning step depend only on whether it cheated,
+    the audit flag and which camp won, so each branch (cheat pattern,
+    audited, honest_win) is settled once per roster; the table is rebuilt at
+    a role change.  Camp sums are kept per cheat pattern until an audit
+    moves the reputations.  Per round are left `_draw_branch`, `_audit` and
+    p_c.
     """
     config.validate()
     draw = random.Random(seed).random
@@ -209,24 +166,12 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
         if r in change_rounds:
             config, state = apply_role_changes(config, ExactState(p_a, aud, p_c, v, beta), r)
             p_c, table = state.p_c, {}
-        pattern = decide_strategies(p_c, draw)
-        entry = table.get(pattern)
-        if entry is None:
-            entry = table[pattern] = (*_camps(pattern), {})
-        cheaters, honest, cheat, branches = entry
-        audited = draw() < p_a
+        (cheaters, _, cheat, branches), audited, tie, honest_win = _draw_branch(
+            draw, scheme, p_a, p_c, v, beta, reputations, table, votes)
         if audited:
             p_a, aud, v, beta, reputations = _audit(config, p_a, aud, v, beta,
                                                     cheaters, cheat)
-            tie, honest_win, votes = False, True, {}
-        else:
-            weights = votes.get(pattern)
-            if weights is None:
-                weights = votes[pattern] = _camp_weights(scheme, v, beta, reputations,
-                                                         (honest, cheat))
-            rho_honest, rho_cheat = weights
-            tie = rho_honest == rho_cheat
-            honest_win = draw() < 0.5 if tie else rho_honest > rho_cheat
+            votes = {}
         settled = branches.get((audited, honest_win))
         if settled is None:
             settled = branches[audited, honest_win] = settle(config, cheaters, audited,

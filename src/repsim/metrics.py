@@ -8,6 +8,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+#: `detect_convergence`: rounds in a row that must pass, and how far above
+#: its floor p_a may sit in them.
+WINDOW = 100
+P_A_SLACK = 0.005
+
 
 def reputation_ratio(rho: np.ndarray, cheated: np.ndarray) -> np.ndarray:
     """Signed mean reputation per round of (rounds, n) columns: sum of rho_i *
@@ -41,22 +46,19 @@ def trace_columns(trace: Sequence, n: int) -> dict:
             "reputation_ratio": reputation_ratio(rho, cheated)}
 
 
-def detect_convergence(trace: Sequence, p_a_min: float, window: int = 100,
-                       p_a_slack: float = 0.005, start: int = 0) -> Optional[int]:
-    """Earliest round r >= start opening a full window of correct, cheap rounds.
+def detect_convergence(trace: Sequence, p_a_min: float, start: int = 0) -> Optional[int]:
+    """Earliest round r >= start opening `WINDOW` correct, cheap rounds in a row.
 
     A round qualifies when the accepted value is correct and the audit
-    probability sits within `p_a_slack` of its floor.  Returns None when no
+    probability sits within `P_A_SLACK` of its floor.  Returns None when no
     window fits before the end of the trace.
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    ok = [o.accepted_correct and o.p_a_after <= p_a_min + p_a_slack for o in trace]
+    ok = [o.accepted_correct and o.p_a_after <= p_a_min + P_A_SLACK for o in trace]
     best = None
     run = 0
     for r in range(len(ok) - 1, start - 1, -1):
         run = run + 1 if ok[r] else 0
-        if run >= window:
+        if run >= WINDOW:
             best = r
     return best
 

@@ -2,10 +2,11 @@
 
 States are canonicalized to a fixed 12-decimal grid so that successor states
 produced along different paths merge.  Successors are the states the
-engine's `round_successor` kernel produces, built from the kernel's own
-scalar rules tabulated per worker (see `enumerate_transitions`); the oracle
-adds exact branch probabilities (cheater subsets x audit outcome, with ties
-split into two half-weighted branches).
+engine's round produces, built from its own scalar rules tabulated per
+worker (see `enumerate_transitions`); the oracle adds exact branch
+probabilities (cheater subsets x audit outcome, with ties split into two
+half-weighted branches).  `sample_round_keys` draws the same branches the
+way `engine.run_simulation` does, for the chi-square comparison.
 """
 from __future__ import annotations
 
@@ -116,9 +117,10 @@ def _next_p_c(config, state, audited, honest_won=False):
             for h, c in zip(honest, cheated)]
 
 
-def _audited_successors(config, state, cheat):
-    """Canonical successor of each row's audited branch, or None where every
-    post-audit reputation underflowed (the kernel resolves those rows)."""
+def _audited_successors(config, state, sets, cheat):
+    """Canonical successor of each row's audited branch.  Where every
+    post-audit reputation underflowed, the row's p_a comes from
+    `engine._audit` itself, which re-reads the camps."""
     scheme, aud = config.scheme, state.aud + 1
     counts = [[rep.audit_update(scheme, v, b, truthful=not c) for c in (False, True)]
               for v, b in zip(state.v, state.beta)]
@@ -131,24 +133,13 @@ def _audited_successors(config, state, cheat):
     out = []
     for k, total in enumerate(rho_total):
         if total == 0.0:
-            out.append(None)
-            continue
-        p_a = engine.master_update(config, state.p_a, rho_cheat[k], total)
+            cheaters = sets[k][0]
+            p_a = engine._audit(config, state.p_a, state.aud, state.v, state.beta,
+                                cheaters, sorted(cheaters))[0]
+        else:
+            p_a = engine.master_update(config, state.p_a, rho_cheat[k], total)
         out.append(ExactState(round(p_a, GRID_DECIMALS), aud, p_c[k], v[k], beta[k]))
     return out
-
-
-def _kernel_branches(config, state, cheaters, audited, mass):
-    """One branch through the scalar kernel; a tie splits into two half-mass
-    branches, the honest camp's win first."""
-    succ, branch, _ = engine.round_successor(config, state, cheaters, audited,
-                                             lambda: True)
-    if branch.tie_outcome is None:
-        return [(mass, branch, succ.canonical())]
-    lost, lost_branch, _ = engine.round_successor(config, state, cheaters, audited,
-                                                  lambda: False)
-    return [(0.5 * mass, branch, succ.canonical()),
-            (0.5 * mass, lost_branch, lost.canonical())]
 
 
 def enumerate_transitions(config: SystemConfig, state: ExactState) -> TransitionDistribution:
@@ -160,10 +151,10 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
 
     Given the audit flag, a worker's successor entries depend only on whether
     it cheated and, after a vote, on which camp won, so they are tabulated
-    once per state from the kernel's scalar rules; only the camp sums, the
+    once per state from the engine's scalar rules; only the camp sums, the
     vote and the master's update are computed per cheater set, over the
-    cheater bit-matrix.  Rows whose reputations all underflowed go through
-    `engine.round_successor`.
+    cheater bit-matrix.  Once every reputation has underflowed, each row's
+    vote goes through `engine._camp_weights`, as the engine's does.
     """
     n = len(config.workers)
     if n > MAX_WORKERS:
@@ -174,13 +165,19 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
     bits, _, row = _cheater_table(n)
     cheat = bits[[row[cheaters] for cheaters, _ in sets]]
 
-    audited = _audited_successors(config, state, cheat) if state.p_a > 0.0 else None
+    audited = (_audited_successors(config, state, sets, cheat) if state.p_a > 0.0
+               else None)
     rho = rep.values(config.scheme, state.v, state.aud, state.beta)
     rho_honest = _worker_sums(cheat, rho, [0.0] * n)
     rho_cheat = _worker_sums(cheat, [0.0] * n, rho)
-    underflow = ((rho_honest == 0.0) & (rho_cheat == 0.0)).tolist()
     tie = (rho_honest == rho_cheat).tolist()
     honest_wins = (rho_honest > rho_cheat).tolist()
+    if not any(rho):
+        for k, (cheaters, _) in enumerate(sets):
+            honest_k, cheat_k = engine._camp_weights(
+                config.scheme, state.v, state.beta, rho,
+                ([i for i in range(n) if i not in cheaters], sorted(cheaters)))
+            tie[k], honest_wins[k] = honest_k == cheat_k, honest_k > cheat_k
     won = {hw: _pick(_next_p_c(config, state, False, honest_won=hw), cheat)
            for hw in (True, False)}
 
@@ -190,17 +187,11 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
     successors = []
     for k, (cheaters, p_f) in enumerate(sets):
         if audited is not None:
-            p_audit = state.p_a * p_f
-            if audited[k] is None:
-                successors += _kernel_branches(config, state, cheaters, True, p_audit)
-            else:
-                successors.append((p_audit, Branch(cheaters, True), audited[k]))
+            successors.append((state.p_a * p_f, Branch(cheaters, True), audited[k]))
         p_no_audit = (1.0 - state.p_a) * p_f
         if p_no_audit <= 0.0:
             continue
-        if underflow[k]:
-            successors += _kernel_branches(config, state, cheaters, False, p_no_audit)
-        elif tie[k]:
+        if tie[k]:
             successors.append((0.5 * p_no_audit, Branch(cheaters, False, True),
                                unaudited(k, True)))
             successors.append((0.5 * p_no_audit, Branch(cheaters, False, False),
@@ -292,15 +283,23 @@ def check_closed(config: SystemConfig, seeds, predicate,
 
 def sample_round_keys(config: SystemConfig, state: ExactState, samples: int,
                       seed: int = 0) -> dict:
-    """Engine one-round outcomes from `state`, counted by Branch."""
+    """Engine one-round outcomes from `state`, counted by Branch.
+
+    Every sample is one `engine._draw_branch` from `state`, the step each
+    round of `engine.run_simulation` draws; the state never moves, so its
+    reputations and camp weights are computed once and nothing is settled.
+    """
     state = state.canonical()
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     reputations = rep.values(config.scheme, state.v, state.aud, state.beta)
-    counts: dict = {}
+    camps, votes, counts = {}, {}, {}
     for _ in range(samples):
-        _, branch, _ = engine.run_round(config, state, rng, reputations)
-        counts[branch] = counts.get(branch, 0) + 1
-    return counts
+        entry, audited, tie, honest_win = engine._draw_branch(
+            draw, config.scheme, state.p_a, state.p_c, state.v, state.beta,
+            reputations, camps, votes)
+        key = (entry[0], audited, honest_win if tie else None)
+        counts[key] = counts.get(key, 0) + 1
+    return {Branch(*key): count for key, count in counts.items()}
 
 
 @dataclass
@@ -319,8 +318,9 @@ def compare_engine_distribution(config: SystemConfig, state: ExactState,
     """Chi-square goodness of fit of engine sampling vs. exact enumeration.
 
     Bins are the branches (cheater set, audited, tie outcome).  Bins with
-    expected count below 5 are pooled before the test.  Pass `counts` to
-    test a pre-binned (possibly corrupted) sample instead of the engine's.
+    expected count below 5 are pooled before the test; ValueError if that
+    leaves fewer than 2, too few samples for a test.  Pass `counts` to test
+    a pre-binned (possibly corrupted) sample instead of the engine's.
     """
     state = state.canonical()
     expected_probs: dict = {}
@@ -349,6 +349,9 @@ def compare_engine_distribution(config: SystemConfig, state: ExactState,
     if pool_exp > 0.0:
         observed.append(pool_obs)
         expected.append(pool_exp)
+    if len(observed) < 2:
+        raise ValueError(f"{total} samples pool into {len(observed)} chi-square bin; "
+                         "the test needs at least 2")
     statistic, p_value = stats.chisquare(observed, expected)
     return FitReport(statistic=float(statistic), p_value=float(p_value),
                      passed=bool(p_value >= significance), samples=total,

@@ -97,15 +97,13 @@ def get_scenario(name: str) -> SystemConfig:
                    role_changes=list(cfg.role_changes))
 
 
-def run_scenario(name_or_config, seeds=None):
+def run_scenario(name_or_config):
     """Run every seed and aggregate. Returns (ScenarioSummary, traces dict)."""
     if isinstance(name_or_config, SystemConfig):
         config, name = name_or_config, "custom"
     else:
         config, name = get_scenario(name_or_config), _normalize(name_or_config)
     config.validate()
-    if seeds is not None:
-        config = replace(config, seeds=tuple(seeds))
     traces = {seed: run_simulation(config, seed) for seed in config.seeds}
     return metrics.summarize(name, config, traces), traces
 

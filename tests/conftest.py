@@ -4,8 +4,9 @@ import io
 
 import pytest
 
-from repsim import cli
-from repsim.model import SystemConfig, WorkerSpec, WorkerType
+from repsim import cli, engine, reputation as rep
+from repsim.engine import Branch
+from repsim.model import ExactState, RoundOutcome, SystemConfig, WorkerSpec, WorkerType
 from repsim.reputation import scheme_from_name
 
 
@@ -31,3 +32,66 @@ def verify_stdout(suite):
 @pytest.fixture
 def three_workers():
     return make_config()
+
+
+# -- the test reference: one round stepped from a whole state -------------------
+# The engine draws and settles rounds from per-roster tables (`run_simulation`)
+# and the oracle tabulates them per worker; both are compared against this
+# straight-line round, which applies the engine's rule functions once each.
+
+def weighted_majority(scheme, state: ExactState, cheaters: frozenset, reps=None):
+    """Aggregate reputations of the two camps (`reps`: those of `state`, if known).
+
+    Returns (rho_honest, rho_cheat, tie).  All cheaters return one identical
+    wrong value, so the vote is camp-against-camp.
+    """
+    reps = reps or rep.values(scheme, state.v, state.aud, state.beta)
+    honest = [i for i in range(len(reps)) if i not in cheaters]
+    rho_honest, rho_cheat = engine._camp_weights(scheme, state.v, state.beta, reps,
+                                                 (honest, sorted(cheaters)))
+    return rho_honest, rho_cheat, rho_honest == rho_cheat
+
+
+def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset,
+                    audited: bool, tie_coin=None):
+    """Pure one-round transition.
+
+    `tie_coin` is a zero-argument callable that resolves a reputation tie in
+    an unaudited round (True: the honest camp wins); it is called only when
+    a tie actually occurs.  Returns (state', branch, outcome) with
+    outcome.round left at -1.
+    """
+    if audited:
+        p_a, aud, v, beta, reputations = engine._audit(
+            config, state.p_a, state.aud, state.v, state.beta, cheaters, sorted(cheaters))
+        honest_win, branch = True, Branch(cheaters, True)
+    else:
+        reputations = rep.values(config.scheme, state.v, state.aud, state.beta)
+        rho_honest, rho_cheat, tie = weighted_majority(config.scheme, state, cheaters,
+                                                       reputations)
+        if tie:
+            if tie_coin is None:
+                raise ValueError("tie occurred but no tie coin was supplied")
+            honest_win = bool(tie_coin())
+            branch = Branch(cheaters, False, honest_win)
+        else:
+            honest_win = rho_honest > rho_cheat
+            branch = Branch(cheaters, False)
+        p_a, aud, v, beta = state.p_a, state.aud, state.v, state.beta
+
+    majority, payoffs, steps = engine.settle(config, cheaters, audited, honest_win)
+    p_c = engine.worker_update(state.p_c, steps)
+    outcome = RoundOutcome(-1, cheaters, audited, majority, branch.tie_outcome is not None,
+                           honest_win, payoffs, reputations, p_a, p_c)
+    return ExactState(p_a, aud, p_c, v, beta), branch, outcome
+
+
+def run_round(config: SystemConfig, state: ExactState, rng):
+    """One sampled round; returns round_successor's (state', branch, outcome).
+
+    RNG draw order: n strategy uniforms (ascending index), one audit
+    uniform, then one tie uniform only if a tie actually occurs.
+    """
+    cheaters = frozenset(i for i, p in enumerate(state.p_c) if rng.random() < p)
+    audited = rng.random() < state.p_a
+    return round_successor(config, state, cheaters, audited, lambda: rng.random() < 0.5)

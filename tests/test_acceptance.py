@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repsim import cli, engine, metrics, oracle, reputation as rep, scenarios
+from repsim import cli, metrics, oracle, reputation as rep, scenarios
 from repsim.model import SystemConfig, WorkerSpec
-from conftest import verify_stdout
+from conftest import round_successor, verify_stdout
 
 EXACT = 1e-12
 
@@ -95,8 +95,7 @@ def test_cheat_probability_transition_deltas():
     cfg = SystemConfig(workers=[WorkerSpec(p_c0=0.5) for _ in range(3)],
                        scheme=rep.NoReputation()).validate()
     for cheaters, audited, idx, delta in cases:
-        state, _, _ = engine.round_successor(cfg, cfg.initial_state(),
-                                             cheaters, audited)
+        state, _, _ = round_successor(cfg, cfg.initial_state(), cheaters, audited)
         assert abs(state.p_c[idx] - (0.5 + delta)) < EXACT, (cheaters, audited, idx)
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,9 @@ def test_verify_suites_pass(suite):
     ("property2", "--max-aud", "0"),
     ("property2", "--max-set-size", "0"),
     ("transitions", "--samples", "0"),
+    # too few for a chi-square test: pooling leaves one bin
+    ("transitions", "--samples", "1"),
+    ("transitions", "--samples", "20"),
     ("transitions", "--significance", "2"),
 ])
 def test_verify_rejects_bad_flags(capsys, suite, flag, value):
@@ -162,6 +166,12 @@ def test_verify_rejects_bad_flags(capsys, suite, flag, value):
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"repsim verify: error: argument {flag}: ")
+
+
+def test_verify_few_samples_still_tested(capsys):
+    assert run_cli("verify", "transitions", "--samples", "200") == 0
+    assert capsys.readouterr().out == (
+        "transitions: chi2=15.929 p=0.1945 over 13 bins, 200 samples PASS\n")
 
 
 # -- reference writers: every field formatted on its own -------------------------
@@ -231,7 +241,7 @@ def _written(write, path, *args) -> bytes:
 
 @pytest.mark.parametrize("case", list(WRITER_CASES))
 def test_writers_match_reference(tmp_path, case):
-    summary, traces = scenarios.run_scenario(WRITER_CASES[case], seeds=(1, 2))
+    summary, traces = scenarios.run_scenario(replace(WRITER_CASES[case], seeds=(1, 2)))
     n = WRITER_CASES[case].n
     for seed, trace in traces.items():
         got = _written(cli.write_trace, tmp_path / "t.csv", seed, trace,

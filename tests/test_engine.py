@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repsim import engine, reputation as rep, scenarios
 from repsim.model import ExactState, RoleChange, SystemConfig, WorkerSpec, WorkerType
-from conftest import make_config
+from conftest import make_config, round_successor, run_round, weighted_majority
 
 TOL = 1e-12
 
 
 def successor(cfg, cheaters, audited, tie_coin=None):
-    return engine.round_successor(cfg, cfg.initial_state(), frozenset(cheaters),
-                                  audited, tie_coin)
+    return round_successor(cfg, cfg.initial_state(), frozenset(cheaters), audited,
+                           tie_coin)
 
 
 class TestLearningDeltas:
@@ -119,10 +119,18 @@ class TestUnderflowedVote:
                            beta=(0.0,) * 3)
         # every reputation underflows, but worker 0's stands 4 to 1 over the others
         assert rep.value(rep.Type2(), 5, 1200) == 0.0
-        assert engine.weighted_majority(rep.Type2(), state, frozenset({1, 2})) == (
+        assert weighted_majority(rep.Type2(), state, frozenset({1, 2})) == (
             1.0, 0.5, False)
-        assert engine.weighted_majority(rep.Type2(), state, frozenset({0, 1, 2})) == (
+        assert weighted_majority(rep.Type2(), state, frozenset({0, 1, 2})) == (
             0.0, 1.5, False)
+
+
+def draw_branch(cfg, rng):
+    """The engine's draw step, once from the config's start state."""
+    s = cfg.initial_state()
+    reps = rep.values(cfg.scheme, s.v, s.aud, s.beta)
+    return engine._draw_branch(rng.random, cfg.scheme, s.p_a, s.p_c, s.v, s.beta,
+                               reps, {}, {})
 
 
 class TestRoundRng:
@@ -131,7 +139,7 @@ class TestRoundRng:
     def test_no_tie_draw_count(self):
         cfg = make_config(n=3, scheme="none", p_c0=0.0, p_a0=0.5)
         rng = random.Random(11)
-        engine.run_round(cfg, cfg.initial_state(), rng)
+        draw_branch(cfg, rng)
         mirror = random.Random(11)
         for _ in range(4):
             mirror.random()
@@ -141,8 +149,8 @@ class TestRoundRng:
         cfg = make_config(n=2, scheme="none", p_c0=1.0, p_a0=0.0, p_a_min=0.0)
         cfg.workers[1] = WorkerSpec(wtype=WorkerType.ALTRUISTIC)
         rng = random.Random(11)
-        _, branch, out = engine.run_round(cfg, cfg.initial_state(), rng)
-        assert out.tie_broken and branch.tie_outcome is not None
+        _, audited, tie, _ = draw_branch(cfg, rng)
+        assert tie and not audited
         mirror = random.Random(11)
         for _ in range(4):
             mirror.random()
@@ -229,12 +237,12 @@ def mixed_configs(draw):
 
 
 def stepped_trace(cfg, seed):
-    """run_simulation's trace from one-shot kernel calls: nothing carried over
-    between rounds, roles checked every round."""
+    """run_simulation's trace from the test reference round: nothing carried
+    over between rounds, roles checked every round."""
     rng, state, trace = random.Random(seed), cfg.initial_state(), []
     for r in range(cfg.horizon):
         cfg, state = engine.apply_role_changes(cfg, state, r)
-        state, _, outcome = engine.run_round(cfg, state, rng)
+        state, _, outcome = run_round(cfg, state, rng)
         outcome.round = r
         trace.append(outcome)
     return trace

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -42,16 +44,13 @@ class TestDetectConvergence:
     def test_audit_probability_gate(self):
         trace = [outcome(r=r, p_a=0.5 if r < 120 else 0.012) for r in range(300)]
         assert metrics.detect_convergence(trace, 0.01) == 120
-        assert metrics.detect_convergence(trace, 0.01, p_a_slack=0.001) is None
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            metrics.detect_convergence([], 0.01, window=0)
+        above = [outcome(r=r, p_a=0.01 + metrics.P_A_SLACK + 0.001) for r in range(300)]
+        assert metrics.detect_convergence(above, 0.01) is None
 
 
 def test_summarize_shapes_and_means():
     cfg = make_config(n=2, scheme="type2", p_c0=1.0, horizon=50)
-    summary, traces = scenarios.run_scenario(cfg, seeds=(1, 2, 3))
+    summary, traces = scenarios.run_scenario(replace(cfg, seeds=(1, 2, 3)))
     assert summary.seeds == (1, 2, 3)
     assert summary.p_a.shape == (50,)
     assert summary.p_c.shape == (2, 50)

@@ -1,13 +1,14 @@
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repsim import engine, oracle, reputation as rep, scenarios
+from repsim import oracle, reputation as rep, scenarios
 from repsim.engine import Branch
 from repsim.model import FIXED_PC, ExactState, SystemConfig, WorkerSpec, WorkerType
-from conftest import make_config
+from conftest import make_config, round_successor, run_round
 
 # the enumerator must avoid a division by zero, not silence it
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -34,14 +35,14 @@ def reference_cheater_sets(state):
 
 
 def reference_successors(config, state):
-    """One-step distribution with one kernel call per branch (and a second
-    for the losing side of a tie), in the enumerator's order."""
+    """One-step distribution with one reference round per branch (and a
+    second for the losing side of a tie), in the enumerator's order."""
     state = state.canonical()
     successors = []
 
     def step(cheaters, audited, honest_wins=True):
-        succ, branch, _ = engine.round_successor(config, state, cheaters, audited,
-                                                 lambda: honest_wins)
+        succ, branch, _ = round_successor(config, state, cheaters, audited,
+                                          lambda: honest_wins)
         return branch, succ.canonical()
 
     for cheaters, p_f in oracle.cheater_set_probabilities(state):
@@ -314,9 +315,45 @@ class TestEngineAgreement:
         report = oracle.compare_engine_distribution(cfg, state, counts=counts)
         assert not report.passed
 
+    def test_too_few_samples_rejected(self):
+        cfg = scenarios.mixed_roster()
+        with pytest.raises(ValueError, match="needs at least 2"):
+            oracle.compare_engine_distribution(cfg, exact_state(cfg), samples=20)
+
     def test_impossible_outcome_is_certain_failure(self):
         cfg = scenarios.mixed_roster()
         state = exact_state(cfg)
         counts = {Branch(frozenset({0, 1, 2}), True, True): 100}
         report = oracle.compare_engine_distribution(cfg, state, counts=counts)
         assert not report.passed and report.p_value == 0.0
+
+
+def reference_sample(config, state, samples, seed=0):
+    """sample_round_keys through the test reference round, one per sample."""
+    state, rng, counts = state.canonical(), random.Random(seed), {}
+    for _ in range(samples):
+        _, branch, _ = run_round(config, state, rng)
+        counts[branch] = counts.get(branch, 0) + 1
+    return counts
+
+
+def sampler_states():
+    mixed = scenarios.mixed_roster()
+    start = exact_state(mixed)
+    tie_heavy = tie_heavy_config()
+    type2 = make_config(n=3, scheme="type2", p_c0=0.5)
+    return {
+        "mixed": (mixed, start),
+        "mixed-p_a-0.6": (mixed, replace(start, p_a=0.6 * start.p_a)),
+        "tie-heavy": (tie_heavy, exact_state(tie_heavy)),
+        "underflowed": underflowed_state(),
+        "underflowed-best-first": (type2, ExactState(p_a=0.5, aud=1200, p_c=(0.5,) * 3,
+                                                     v=(5, 3, 3), beta=(0.0,) * 3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(sampler_states()))
+def test_sampler_counts_equal_reference(name):
+    config, state = sampler_states()[name]
+    assert oracle.sample_round_keys(config, state, 5_000, seed=3) == reference_sample(
+        config, state, 5_000, seed=3)

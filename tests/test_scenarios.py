@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from repsim import scenarios
@@ -45,7 +47,8 @@ def test_dynamic_scenario_switches_five_workers():
 
 
 def test_run_scenario_seed_override():
-    summary, traces = scenarios.run_scenario("mal8-rat1-type2", seeds=(7,))
-    assert summary.name == "mal8-rat1-type2"
+    config = replace(scenarios.get_scenario("mal8-rat1-type2"), seeds=(7,))
+    summary, traces = scenarios.run_scenario(config)
+    assert summary.name == "custom"
     assert set(traces) == {7}
     assert len(traces[7]) == 1000
