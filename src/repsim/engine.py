@@ -37,21 +37,24 @@ def decide_strategies(p_c, draw) -> tuple:
     return tuple([draw() < p for p in p_c])
 
 
+def reread_underflow(scheme, v, beta, reps) -> tuple:
+    """`reps`, unless every one reads 0.0 (type 2 after ~1075 audits): then
+    the reputations read again at aud = max(v).  Type 2 depends only on
+    aud - v, so that divides every value by the same eps^(aud - max(v)):
+    camps keep their ratio, and the best-validated worker reads above 0.0,
+    so an empty camp never ties a non-empty one."""
+    return reps if any(reps) else rep.values(scheme, v, max(v), beta)
+
+
 def _camp_weights(scheme, v, beta, reps, camps):
     """Sum of `reps` over each camp in `camps` (sequences of worker indices).
 
-    Workers add in index order from 0, as `rep.aggregate` adds them.  When
-    every camp reads 0.0, every reputation involved underflowed (type 2
-    after ~1075 audits).  Type 2 depends only on aud - v, so reading it at
-    aud = max(v) divides every value by the same eps^(aud - max(v)): the
-    camps keep their ratio, and the camp holding the best-validated worker
-    is positive, so an empty camp never ties a non-empty one.
+    Workers add in index order from 0, as `rep.aggregate` adds them, over
+    `reread_underflow(reps)`: the camps cover every worker and no reputation
+    is negative, so every camp reads 0.0 exactly when every reputation does.
     """
-    weights = [sum(map(reps.__getitem__, members)) for members in camps]
-    if not any(weights):
-        top = rep.values(scheme, v, max(v), beta)
-        weights = [sum(map(top.__getitem__, members)) for members in camps]
-    return weights
+    reps = reread_underflow(scheme, v, beta, reps)
+    return [sum(map(reps.__getitem__, members)) for members in camps]
 
 
 def _draw_branch(draw, scheme, p_a, p_c, v, beta, reputations, camps, votes):

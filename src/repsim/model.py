@@ -6,6 +6,7 @@ single definition of who earns what.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -158,15 +159,16 @@ class SystemConfig:
             raise ConfigError("p_a0 must lie in [p_a_min, 1]")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError("tau must lie in [0, 1]")
-        if self.alpha_m < 0 or self.alpha_w < 0:
-            raise ConfigError("learning rates must be non-negative")
-        if self.wpc < 0 or self.wct < 0:
-            raise ConfigError("payoff magnitudes must be non-negative")
+        numbers = [("alpha_m", self.alpha_m, 0.0), ("alpha_w", self.alpha_w, 0.0),
+                   ("wpc", self.wpc, 0.0), ("wct", self.wct, 0.0)]
         for w in self.workers:
             if not 0.0 <= w.p_c0 <= 1.0:
                 raise ConfigError("initial cheat probability must lie in [0, 1]")
-            if w.wby < 0:
-                raise ConfigError("rewards must be non-negative")
+            numbers += [("wby", w.wby, 0.0), ("aspiration", w.aspiration, -math.inf)]
+        for key, x, lo in numbers:
+            if not math.isfinite(x) or x < lo:   # `x < lo` alone lets NaN through
+                bound = f" >= {lo:g}" if lo > -math.inf else ""
+                raise ConfigError(f"{key} must be a finite number{bound}, got {x!r}")
         for rc in self.role_changes:
             if not 0 <= rc.worker < len(self.workers):
                 raise ConfigError(f"role change targets unknown worker {rc.worker}")

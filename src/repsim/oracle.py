@@ -3,20 +3,21 @@
 States are canonicalized to a fixed 12-decimal grid so that successor states
 produced along different paths merge.  Successors are the states the
 engine's round produces, built from its own scalar rules tabulated per
-worker (see `enumerate_transitions`); the oracle adds exact branch
-probabilities (cheater subsets x audit outcome, with ties split into two
-half-weighted branches).  `sample_round_keys` draws the same branches the
+worker and expanded to every cheater set with `itertools.product` (see
+`enumerate_transitions`); the oracle adds exact branch probabilities
+(cheater subsets x audit outcome, with ties split into two half-weighted
+branches).  `sample_round_keys` draws the same branches the
 way `engine.run_simulation` does, for the chi-square comparison.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
 from scipy import stats
 
 from . import engine, reputation as rep
@@ -25,6 +26,8 @@ from .model import GRID_DECIMALS, ExactState, SystemConfig
 
 PROB_TOL = 1e-12
 MAX_WORKERS = 10
+#: States `find_escape` explores before it gives up.
+MAX_STATES = 100_000
 
 
 class OracleBoundError(RuntimeError):
@@ -52,17 +55,24 @@ class TransitionDistribution:
 
 
 @functools.lru_cache(maxsize=8)
-def _cheater_table(n: int):
-    """All 2^n cheater sets of an n-roster, in `itertools.product` order.
+def _cheater_sets(n: int) -> tuple:
+    """All 2^n cheater sets of an n-roster, in `itertools.product` order."""
+    return tuple(frozenset(itertools.compress(range(n), bits))
+                 for bits in itertools.product((False, True), repeat=n))
 
-    Returns (bits, sets, row): the (2^n x n) boolean bit-matrix, the same
-    sets as frozensets, and frozenset -> row of `bits`.
-    """
-    bits = np.array(list(itertools.product((False, True), repeat=n)),
-                    dtype=bool).reshape(2 ** n, n)
-    bits.flags.writeable = False
-    sets = tuple(frozenset(np.flatnonzero(b).tolist()) for b in bits)
-    return bits, sets, {s: k for k, s in enumerate(sets)}
+
+def _rows(pairs, live):
+    """Per cheater set flagged in `live` (in `_cheater_sets` order), the tuple
+    over workers i of `pairs[i][1]` if i cheats, else `pairs[i][0]`: the
+    kernel's own objects, so successors equal and repr as the kernel's."""
+    return itertools.compress(itertools.product(*pairs), live)
+
+
+def _sums(pairs, live):
+    """`sum` of each row of `_rows`, as the rows stream: workers add in index
+    order, as `rep.aggregate` and the engine's camp sums add them (another
+    order rounds differently, moving ties and the bits of p_a)."""
+    return map(sum, _rows(pairs, live))
 
 
 def cheater_set_probabilities(state: ExactState):
@@ -71,36 +81,9 @@ def cheater_set_probabilities(state: ExactState):
     Sets come in `itertools.product` order; each probability is a product
     over the workers taken in index order.
     """
-    bits, sets, _ = _cheater_table(len(state.p_c))
-    prob = np.ones(len(sets))
-    for i, p_c in enumerate(state.p_c):
-        prob *= np.where(bits[:, i], p_c, 1.0 - p_c)
-    rows = np.flatnonzero(prob > 0.0)
-    return list(zip([sets[k] for k in rows.tolist()], prob[rows].tolist()))
-
-
-def _worker_sums(cheat, honest, cheated):
-    """Per row of `cheat`, the sum over workers of `honest[i]` or `cheated[i]`.
-
-    Workers are added one at a time in index order, as `rep.aggregate` adds
-    them: np.sum, @ or einsum add in another order and round differently,
-    which would move ties and the bits of p_a.
-    """
-    acc = np.zeros(len(cheat))
-    for i in range(cheat.shape[1]):
-        acc += np.where(cheat[:, i], cheated[i], honest[i])
-    return acc
-
-
-def _pick(table, cheat):
-    """Per row of `cheat`, the tuple of `table[i][cheated]` over workers i.
-
-    The table holds the kernel's own Python objects (an object array keeps
-    ints ints), so successors equal and repr as the kernel's.
-    """
-    cols = np.empty((2, len(table)), dtype=object)
-    cols[0], cols[1] = zip(*table)
-    return list(map(tuple, np.where(cheat, cols[1], cols[0]).tolist()))
+    probs = map(functools.partial(math.prod, start=1.0),
+                itertools.product(*[(1.0 - p, p) for p in state.p_c]))
+    return [(s, p) for s, p in zip(_cheater_sets(len(state.p_c)), probs) if p > 0.0]
 
 
 def _next_p_c(config, state, audited, honest_won=False):
@@ -117,29 +100,25 @@ def _next_p_c(config, state, audited, honest_won=False):
             for h, c in zip(honest, cheated)]
 
 
-def _audited_successors(config, state, sets, cheat):
-    """Canonical successor of each row's audited branch.  Where every
-    post-audit reputation underflowed, the row's p_a comes from
-    `engine._audit` itself, which re-reads the camps."""
+def _audited_successors(config, state, sets, live):
+    """Canonical successor of each live set's audited branch.  Where every
+    post-audit reputation underflowed, the set's p_a comes from
+    `engine._audit` itself, which re-reads them."""
     scheme, aud = config.scheme, state.aud + 1
     counts = [[rep.audit_update(scheme, v, b, truthful=not c) for c in (False, True)]
               for v, b in zip(state.v, state.beta)]
     rho = [[rep.value(scheme, v, aud, b) for v, b in pair] for pair in counts]
-    rho_cheat = _worker_sums(cheat, [0.0] * len(rho), [r[1] for r in rho]).tolist()
-    rho_total = _worker_sums(cheat, [r[0] for r in rho], [r[1] for r in rho]).tolist()
-    v = _pick([[v for v, _ in pair] for pair in counts], cheat)
-    beta = _pick([[round(b, GRID_DECIMALS) for _, b in pair] for pair in counts], cheat)
-    p_c = _pick(_next_p_c(config, state, audited=True), cheat)
-    out = []
-    for k, total in enumerate(rho_total):
-        if total == 0.0:
-            cheaters = sets[k][0]
+    rows = zip(sets, _sums([(0.0, c) for _, c in rho], live), _sums(rho, live),
+               _rows(_next_p_c(config, state, audited=True), live),
+               _rows([[v for v, _ in pair] for pair in counts], live),
+               _rows([[round(b, GRID_DECIMALS) for _, b in pair] for pair in counts], live))
+    for (cheaters, _), rho_cheat, rho_total, p_c, v, beta in rows:
+        if rho_total == 0.0:
             p_a = engine._audit(config, state.p_a, state.aud, state.v, state.beta,
                                 cheaters, sorted(cheaters))[0]
         else:
-            p_a = engine.master_update(config, state.p_a, rho_cheat[k], total)
-        out.append(ExactState(round(p_a, GRID_DECIMALS), aud, p_c[k], v[k], beta[k]))
-    return out
+            p_a = engine.master_update(config, state.p_a, rho_cheat, rho_total)
+        yield ExactState(round(p_a, GRID_DECIMALS), aud, p_c, v, beta)
 
 
 def enumerate_transitions(config: SystemConfig, state: ExactState) -> TransitionDistribution:
@@ -151,10 +130,10 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
 
     Given the audit flag, a worker's successor entries depend only on whether
     it cheated and, after a vote, on which camp won, so they are tabulated
-    once per state from the engine's scalar rules; only the camp sums, the
-    vote and the master's update are computed per cheater set, over the
-    cheater bit-matrix.  Once every reputation has underflowed, each row's
-    vote goes through `engine._camp_weights`, as the engine's does.
+    once per state from the engine's scalar rules and expanded to the live
+    cheater sets by `_rows`; only the camp sums, the vote and the master's
+    update are computed per set.  The vote reads the reputations through
+    `engine.reread_underflow`, once for the state.
     """
     n = len(config.workers)
     if n > MAX_WORKERS:
@@ -162,43 +141,36 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
                                f"bound of {MAX_WORKERS} workers")
     state = state.canonical()
     sets = cheater_set_probabilities(state)
-    bits, _, row = _cheater_table(n)
-    cheat = bits[[row[cheaters] for cheaters, _ in sets]]
+    live = list(map({s for s, _ in sets}.__contains__, _cheater_sets(n)))
+    audited = (_audited_successors(config, state, sets, live) if state.p_a > 0.0
+               else itertools.repeat(None))
+    rho = engine.reread_underflow(config.scheme, state.v, state.beta,
+                                  rep.values(config.scheme, state.v, state.aud,
+                                             state.beta))
+    # p_c_honest, p_c_cheat: the rows of p_c after the honest or cheating camp won
+    rows = zip(sets, audited, _sums([(r, 0.0) for r in rho], live),
+               _sums([(0.0, r) for r in rho], live),
+               *(_rows(_next_p_c(config, state, False, honest_won=hw), live)
+                 for hw in (True, False)))
 
-    audited = (_audited_successors(config, state, sets, cheat) if state.p_a > 0.0
-               else None)
-    rho = rep.values(config.scheme, state.v, state.aud, state.beta)
-    rho_honest = _worker_sums(cheat, rho, [0.0] * n)
-    rho_cheat = _worker_sums(cheat, [0.0] * n, rho)
-    tie = (rho_honest == rho_cheat).tolist()
-    honest_wins = (rho_honest > rho_cheat).tolist()
-    if not any(rho):
-        for k, (cheaters, _) in enumerate(sets):
-            honest_k, cheat_k = engine._camp_weights(
-                config.scheme, state.v, state.beta, rho,
-                ([i for i in range(n) if i not in cheaters], sorted(cheaters)))
-            tie[k], honest_wins[k] = honest_k == cheat_k, honest_k > cheat_k
-    won = {hw: _pick(_next_p_c(config, state, False, honest_won=hw), cheat)
-           for hw in (True, False)}
-
-    def unaudited(k, honest_win):
-        return ExactState(state.p_a, state.aud, won[honest_win][k], state.v, state.beta)
+    def unaudited(p_c):
+        return ExactState(state.p_a, state.aud, p_c, state.v, state.beta)
 
     successors = []
-    for k, (cheaters, p_f) in enumerate(sets):
-        if audited is not None:
-            successors.append((state.p_a * p_f, Branch(cheaters, True), audited[k]))
+    for (cheaters, p_f), succ, rho_honest, rho_cheat, p_c_honest, p_c_cheat in rows:
+        if succ is not None:
+            successors.append((state.p_a * p_f, Branch(cheaters, True), succ))
         p_no_audit = (1.0 - state.p_a) * p_f
         if p_no_audit <= 0.0:
             continue
-        if tie[k]:
+        if rho_honest == rho_cheat:
             successors.append((0.5 * p_no_audit, Branch(cheaters, False, True),
-                               unaudited(k, True)))
+                               unaudited(p_c_honest)))
             successors.append((0.5 * p_no_audit, Branch(cheaters, False, False),
-                               unaudited(k, False)))
+                               unaudited(p_c_cheat)))
         else:
-            successors.append((p_no_audit, Branch(cheaters, False),
-                               unaudited(k, honest_wins[k])))
+            p_c = p_c_honest if rho_honest > rho_cheat else p_c_cheat
+            successors.append((p_no_audit, Branch(cheaters, False), unaudited(p_c)))
 
     dist = TransitionDistribution(state=state, successors=successors)
     total = dist.total()
@@ -246,14 +218,13 @@ def reach_probability(config: SystemConfig, start: ExactState,
     return absorbed
 
 
-def find_escape(config: SystemConfig, seeds, predicate,
-                max_states: int = 100_000, project=None):
+def find_escape(config: SystemConfig, seeds, predicate, project=None):
     """First transition leaving the predicate set, or None if it is closed.
 
     Explores the set reachable from `seeds` while the predicate holds.
     `project` optionally maps states to a smaller invariant signature for
     merging (e.g. dropping absolute audit counts for schemes that only see
-    count differences).
+    count differences).  Raises OracleBoundError past MAX_STATES states.
     """
     key_of = project if project is not None else (lambda s: s)
     frontier = [s.canonical() for s in seeds]
@@ -268,17 +239,16 @@ def find_escape(config: SystemConfig, seeds, predicate,
             key = key_of(succ)
             if key not in seen:
                 seen.add(key)
-                if len(seen) > max_states:
+                if len(seen) > MAX_STATES:
                     raise OracleBoundError(
-                        f"state budget of {max_states} exceeded")
+                        f"state budget of {MAX_STATES} exceeded")
                 frontier.append(succ)
     return None
 
 
-def check_closed(config: SystemConfig, seeds, predicate,
-                 max_states: int = 100_000, project=None) -> bool:
+def check_closed(config: SystemConfig, seeds, predicate, project=None) -> bool:
     """True iff no enumerated in-set state has a successor outside the set."""
-    return find_escape(config, seeds, predicate, max_states, project) is None
+    return find_escape(config, seeds, predicate, project) is None
 
 
 def sample_round_keys(config: SystemConfig, state: ExactState, samples: int,
@@ -312,22 +282,22 @@ class FitReport:
 
 
 def compare_engine_distribution(config: SystemConfig, state: ExactState,
-                                samples: int = 100_000,
-                                significance: float = 0.01, seed: int = 0,
+                                samples: int = 100_000, significance: float = 0.01,
                                 counts: Optional[dict] = None) -> FitReport:
     """Chi-square goodness of fit of engine sampling vs. exact enumeration.
 
     Bins are the branches (cheater set, audited, tie outcome).  Bins with
     expected count below 5 are pooled before the test; ValueError if that
     leaves fewer than 2, too few samples for a test.  Pass `counts` to test
-    a pre-binned (possibly corrupted) sample instead of the engine's.
+    a pre-binned (possibly corrupted) sample instead of the engine's
+    (`sample_round_keys` at seed 0).
     """
     state = state.canonical()
     expected_probs: dict = {}
     for prob, branch, _ in enumerate_transitions(config, state).successors:
         expected_probs[branch] = expected_probs.get(branch, 0.0) + prob
     if counts is None:
-        counts = sample_round_keys(config, state, samples, seed=seed)
+        counts = sample_round_keys(config, state, samples)
     total = sum(counts.values())
 
     unexpected = set(counts) - set(expected_probs)

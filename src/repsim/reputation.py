@@ -74,10 +74,12 @@ class Type3(Scheme):
     increment: float = field(default=0.1, metadata={"key": "beta_increment"})
 
     def __post_init__(self):
-        if self.error_bound <= 0:
-            raise ValueError("type 3 error bound must be positive")
-        if self.beta_init < 0:
-            raise ValueError("type 3 initial error rate must be non-negative")
+        for key, attr in scheme_params(self).items():
+            x = getattr(self, attr)
+            if not math.isfinite(x) or x < 0.0:   # `x < 0.0` alone lets NaN through
+                raise ValueError(f"type 3 {key} must be a finite number >= 0, got {x!r}")
+        if self.error_bound == 0.0:
+            raise ValueError("type 3 error_bound must be positive")
 
     def formula(self, v: int, aud: int, beta: float) -> float:
         if beta > self.error_bound:

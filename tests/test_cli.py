@@ -119,6 +119,30 @@ def test_bad_seeds_named_by_flag(tmp_path, capsys, seeds, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source,key", [
+    (("--config", "scheme = type3\nbeta_decay = -1\n"), "beta_decay"),
+    (("--config", "scheme = type3\nbeta_increment = -0.5\n"), "beta_increment"),
+    (("--config", "scheme = type3\nerror_bound = nan\n"), "error_bound"),
+    (("--config", "scheme = type3\nbeta_init = nan\n"), "beta_init"),
+    (("--config", "worker = rational 0.5 nan\n"), "aspiration"),
+    (("--config", "alpha_w = nan\n"), "alpha_w"),
+    (("--scenario", "rational9-type2-pc05", "--alpha", "nan"), "alpha_m"),
+    (("--scenario", "rational9-type2-pc05", "--aspiration", "nan"), "aspiration"),
+    (("--scenario", "rational9-type2-pc05", "--wct", "inf"), "wct"),
+], ids=["type3-negative-decay", "type3-negative-increment", "type3-nan-bound",
+        "type3-nan-beta-init", "nan-aspiration", "nan-alpha-w", "flag-nan-alpha",
+        "flag-nan-aspiration", "flag-inf-wct"])
+def test_non_finite_rejected_before_run(tmp_path, capsys, source, key):
+    if source[0] == "--config":
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(source[1])
+        source = ("--config", str(cfg))
+    assert run_cli("run", *source, "--horizon", "30", "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("run: ") and key in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 #: `repsim verify <suite>` stdout at the CLI defaults, as first recorded.
 VERIFY_STDOUT = {
     "property1":

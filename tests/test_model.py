@@ -67,6 +67,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SystemConfig(**{knob: -1.0}).validate()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("knob", ["alpha_m", "alpha_w", "wpc", "wct", "wby",
+                                      "aspiration"])
+    def test_non_finite_number_named(self, knob, value):
+        if knob in ("wby", "aspiration"):
+            cfg = SystemConfig(workers=[WorkerSpec(), WorkerSpec(**{knob: value})])
+        else:
+            cfg = SystemConfig(**{knob: value})
+        with pytest.raises(ConfigError, match=f"^{knob} must be a finite number"):
+            cfg.validate()
+
     def test_empty_seed_list(self):
         with pytest.raises(ConfigError):
             SystemConfig(seeds=()).validate()
@@ -89,21 +100,22 @@ def test_initial_workers_fix_pc_and_beta():
 
 
 def floats(lo=None, hi=None, **kw):
-    return st.floats(lo, hi, allow_nan=False, **kw)
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
 
 
 SCHEME_PARAMS = {
     "type1": {},
     "type2": {"epsilon": floats(0.0, 1.0, exclude_min=True, exclude_max=True)},
     "type3": {"error_bound": floats(0.0, exclude_min=True), "beta_init": floats(0.0),
-              "decay": floats(), "increment": floats()},
+              "decay": floats(0.0), "increment": floats(0.0)},
     "none": {},
 }
 
 
 @st.composite
 def valid_configs(draw):
-    """SystemConfigs with arbitrary valid floats, infinities and -0.0 included."""
+    """SystemConfigs with arbitrary valid floats, -0.0 and extremes included
+    (a config holds finite numbers only)."""
     name = draw(st.sampled_from(sorted(SCHEME_PARAMS)))
     params = {key: draw(strategy) for key, strategy in SCHEME_PARAMS[name].items()}
     workers = draw(st.lists(st.builds(
@@ -194,10 +206,17 @@ class TestConfigText:
         ("horizon = 5.5\n", 1),
         ("seeds = 1\ntau = half\n", 2),
         ("scheme = type2\nepsilon = 0,3\n", 2),
+        ("scheme = type3\nbeta_decay = -1\n", 2),
+        ("scheme = type3\nbeta_increment = -0.5\n", 2),
+        ("scheme = type3\nerror_bound = nan\n", 2),
+        ("scheme = type3\nbeta_init = nan\n", 2),
+        ("scheme = type3\nerror_bound = inf\n", 2),
     ], ids=["repeat-count-zero", "empty-seeds", "repeated-key",
             "type1-epsilon", "type2-beta-decay", "type3-epsilon",
             "repeated-seed", "malformed-seed", "malformed-role-change",
-            "malformed-horizon", "malformed-float", "malformed-scheme-parameter"])
+            "malformed-horizon", "malformed-float", "malformed-scheme-parameter",
+            "type3-negative-decay", "type3-negative-increment", "type3-nan-bound",
+            "type3-nan-beta-init", "type3-infinite-bound"])
     def test_rejected_with_line(self, text, line):
         with pytest.raises(ConfigError, match=f"^line {line}: "):
             SystemConfig.from_text(text)

@@ -193,6 +193,21 @@ class TestReferenceAgreement:
                     if b.tie_outcome is not None]
             assert len(ties) == 2 * 6   # C(4, 2) splits, each in two halves
 
+    @pytest.mark.parametrize("n,scheme,aud", [(8, "type1", 1), (8, "type2", 2),
+                                              (8, "type3", 3), (8, "none", 2),
+                                              (10, "type2", 3)])
+    def test_wide_roster(self, n, scheme, aud):
+        # the longest product rows: every cheater set is live
+        rng = random.Random(n * 10 + aud)
+        config = make_config(n=n, scheme=scheme)
+        beta = tuple(rng.uniform(0.0, 0.3) if scheme == "type3"
+                     else config.scheme.beta_init for _ in range(n))
+        state = ExactState(p_a=0.37, aud=aud,
+                           p_c=tuple(rng.uniform(0.05, 0.95) for _ in range(n)),
+                           v=tuple(rng.randint(0, aud) for _ in range(n)), beta=beta)
+        assert len(oracle.cheater_set_probabilities(state)) == 2 ** n
+        assert_matches_reference(config, state)
+
     def test_underflowed_type2_state(self):
         config, state = underflowed_state()
         assert all(rep.value(config.scheme, v, state.aud + 1) == 0.0 for v in state.v)
