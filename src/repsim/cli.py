@@ -98,20 +98,19 @@ def cmd_run(args) -> int:
             config = scenarios.get_scenario(args.scenario)
             name = args.scenario
         else:
-            config = SystemConfig.from_file(args.config)
+            config = SystemConfig.from_text(Path(args.config).read_text())
             name = Path(args.config).stem
         config = _apply_overrides(config, args)
+        summary, traces = scenarios.run_scenario(config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        summary, traces = scenarios.run_scenario(config)
     except (OSError, ValueError, KeyError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 1
     for seed, trace in traces.items():
         write_trace(out / f"trace_seed{seed}.csv", seed, trace, summary.columns[seed])
-    summary = replace(summary, name=name)
     write_summary(out / "summary.csv", summary, config.n)
-    config.save(out / "manifest.txt")
+    (out / "manifest.txt").write_text(config.to_text())
     conv = [c for c in summary.convergence_rounds if c is not None]
     print(f"{name}: {len(traces)} seeds, horizon {config.horizon}, "
           f"converged {len(conv)}/{len(traces)}"

@@ -42,8 +42,12 @@ def reread_underflow(scheme, v, beta, reps) -> tuple:
     the reputations read again at aud = max(v).  Type 2 depends only on
     aud - v, so that divides every value by the same eps^(aud - max(v)):
     camps keep their ratio, and the best-validated worker reads above 0.0,
-    so an empty camp never ties a non-empty one."""
-    return reps if any(reps) else rep.values(scheme, v, max(v), beta)
+    so an empty camp never ties a non-empty one.  If they still all read 0.0
+    (type 3, every beta at error_bound), equal reputations weigh 1.0 each."""
+    if any(reps):
+        return reps
+    reps = rep.values(scheme, v, max(v), beta)
+    return reps if any(reps) else (1.0,) * len(reps)
 
 
 def _camp_weights(scheme, v, beta, reps, camps):

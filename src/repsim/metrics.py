@@ -67,7 +67,6 @@ def detect_convergence(trace: Sequence, p_a_min: float, start: int = 0) -> Optio
 class ScenarioSummary:
     """Seed-averaged per-round series plus per-seed convergence diagnostics."""
 
-    name: str
     seeds: tuple
     p_a: np.ndarray                 # (horizon,)
     audit_rate: np.ndarray
@@ -80,7 +79,7 @@ class ScenarioSummary:
     columns: dict                   # seed -> trace_columns of its trace
 
 
-def summarize(name: str, config, traces: dict) -> ScenarioSummary:
+def summarize(config, traces: dict) -> ScenarioSummary:
     """Arithmetic per-round means of the per-seed traces; each seed's columns
     add onto zeros in seed order, the order a round-by-round loop adds in."""
     seeds, horizon, n = tuple(traces), config.horizon, config.n
@@ -95,7 +94,7 @@ def summarize(name: str, config, traces: dict) -> ScenarioSummary:
         audits += np.count_nonzero(cols["audited"])
         conv.append(detect_convergence(traces[seed], config.p_a_min))
     mean = {key: total / len(seeds) for key, total in sums.items()}
-    return ScenarioSummary(name=name, seeds=seeds, p_a=mean["p_a"],
+    return ScenarioSummary(seeds=seeds, p_a=mean["p_a"],
                            audit_rate=mean["audited"], correct_rate=mean["correct"],
                            reputation_ratio=mean["reputation_ratio"],
                            p_c=mean["p_c"].T, rho=mean["rho"].T,

@@ -7,16 +7,19 @@ single definition of who earns what.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 from . import reputation as rep
 
 
 class ConfigError(ValueError):
-    """Raised when a SystemConfig (or config file) is invalid."""
+    """An invalid SystemConfig or config file; `key` names what it rejects."""
+
+    def __init__(self, message: str, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class WorkerType(Enum):
@@ -40,6 +43,16 @@ def clamp(x: float, lo: float, hi: float) -> float:
     return x if x > lo else lo
 
 
+def _check(key, x, lo, hi, low=None):
+    """ConfigError tagged `key` unless `x` is a finite number in [lo, hi];
+    `low` is the name of `lo` when a string."""
+    if not (lo <= x <= hi and -math.inf < x < math.inf):   # NaN fails both
+        low = low if isinstance(low, str) else f"{lo:g}"
+        floor = f" >= {low}" if lo > -math.inf else ""
+        rule = f"lie in [{low}, {hi:g}]" if hi < math.inf else f"be a finite number{floor}"
+        raise ConfigError(f"{key} must {rule}, got {x!r}", key)
+
+
 @dataclass(frozen=True)
 class WorkerSpec:
     """Immutable per-worker configuration entry."""
@@ -48,6 +61,11 @@ class WorkerSpec:
     p_c0: float = 0.5
     aspiration: float = 0.1
     wby: float = 1.0
+
+    def __post_init__(self):
+        _check("p_c0", self.p_c0, 0.0, 1.0)
+        _check("wby", self.wby, 0.0, math.inf)
+        _check("aspiration", self.aspiration, -math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -121,6 +139,21 @@ def compute_payoffs(n: int, cheaters: frozenset, audited: bool,
     return tuple(payoffs)
 
 
+#: The master's settings in manifest order: config key -> (attribute, type,
+#: lowest value, highest value).  A lowest value that is a string names the
+#: setting (key and attribute alike) whose value bounds it.
+SETTINGS = {
+    "horizon": ("horizon", int, 0, math.inf),
+    "p_a": ("p_a0", float, "p_a_min", 1.0),
+    "p_a_min": ("p_a_min", float, 0.0, 1.0),
+    "tau": ("tau", float, 0.0, 1.0),
+    "alpha_m": ("alpha_m", float, 0.0, math.inf),
+    "alpha_w": ("alpha_w", float, 0.0, math.inf),
+    "wpc": ("wpc", float, 0.0, math.inf),
+    "wct": ("wct", float, 0.0, math.inf),
+}
+
+
 @dataclass
 class SystemConfig:
     """Full experiment parameterization.
@@ -145,35 +178,23 @@ class SystemConfig:
     role_changes: list = field(default_factory=list)
 
     def validate(self):
+        """The config itself, or a ConfigError tagged with the config key it
+        rejects (("role_change", k) for the k-th role change)."""
         if not self.workers:
-            raise ConfigError("at least one worker is required")
+            raise ConfigError("at least one worker is required", "worker")
         if not self.seeds:
-            raise ConfigError("at least one seed is required")
+            raise ConfigError("at least one seed is required", "seeds")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seed {_repeated(self.seeds)} is repeated")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be non-negative")
-        if not 0.0 <= self.p_a_min <= 1.0:
-            raise ConfigError("p_a_min must lie in [0, 1]")
-        if not self.p_a_min <= self.p_a0 <= 1.0:
-            raise ConfigError("p_a0 must lie in [p_a_min, 1]")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError("tau must lie in [0, 1]")
-        numbers = [("alpha_m", self.alpha_m, 0.0), ("alpha_w", self.alpha_w, 0.0),
-                   ("wpc", self.wpc, 0.0), ("wct", self.wct, 0.0)]
-        for w in self.workers:
-            if not 0.0 <= w.p_c0 <= 1.0:
-                raise ConfigError("initial cheat probability must lie in [0, 1]")
-            numbers += [("wby", w.wby, 0.0), ("aspiration", w.aspiration, -math.inf)]
-        for key, x, lo in numbers:
-            if not math.isfinite(x) or x < lo:   # `x < lo` alone lets NaN through
-                bound = f" >= {lo:g}" if lo > -math.inf else ""
-                raise ConfigError(f"{key} must be a finite number{bound}, got {x!r}")
-        for rc in self.role_changes:
-            if not 0 <= rc.worker < len(self.workers):
-                raise ConfigError(f"role change targets unknown worker {rc.worker}")
-            if rc.round < 0:
-                raise ConfigError("role change round must be non-negative")
+            raise ConfigError(f"seed {_repeated(self.seeds)} is repeated", "seeds")
+        # a setting bounded by another's value is checked after it
+        for key in sorted(SETTINGS, key=lambda k: isinstance(SETTINGS[k][2], str)):
+            attr, _, lo, hi = SETTINGS[key]
+            bound = getattr(self, lo) if isinstance(lo, str) else lo
+            _check(key, getattr(self, attr), bound, hi, lo)
+        for k, rc in enumerate(self.role_changes):
+            if not (rc.round >= 0 and 0 <= rc.worker < self.n):
+                raise ConfigError(f"role_change {rc.round} {rc.worker}: the round must be "
+                                  f">= 0 and the worker below {self.n}", ("role_change", k))
         return self
 
     @property
@@ -195,33 +216,20 @@ class SystemConfig:
         lines = [f"scheme = {scheme.name}"]
         lines += [f"{key} = {_num(getattr(scheme, attr))}"
                   for key, attr in rep.scheme_params(scheme).items()]
-        lines += [
-            f"horizon = {self.horizon}",
-            f"p_a = {_num(self.p_a0)}",
-            f"p_a_min = {_num(self.p_a_min)}",
-            f"tau = {_num(self.tau)}",
-            f"alpha_m = {_num(self.alpha_m)}",
-            f"alpha_w = {_num(self.alpha_w)}",
-            f"wpc = {_num(self.wpc)}",
-            f"wct = {_num(self.wct)}",
-            "seeds = " + " ".join(str(s) for s in self.seeds),
-        ]
-        for w in self.workers:
-            lines.append(f"worker = {w.wtype.value} {_num(w.p_c0)} "
-                         f"{_num(w.aspiration)} {_num(w.wby)}")
-        for rc in self.role_changes:
-            lines.append(f"role_change = {rc.round} {rc.worker} {rc.new_type.value}")
+        lines += [f"{key} = {(str if kind is int else _num)(getattr(self, attr))}"
+                  for key, (attr, kind, _, _) in SETTINGS.items()]
+        lines.append("seeds = " + " ".join(str(s) for s in self.seeds))
+        lines += [f"worker = {w.wtype.value} {_num(w.p_c0)} {_num(w.aspiration)} "
+                  f"{_num(w.wby)}" for w in self.workers]
+        lines += [f"role_change = {rc.round} {rc.worker} {rc.new_type.value}"
+                  for rc in self.role_changes]
         return "\n".join(lines) + "\n"
-
-    def save(self, path):
-        Path(path).write_text(self.to_text())
 
     @classmethod
     def from_text(cls, text: str) -> "SystemConfig":
-        """Parse the key/value config format (see README for the schema)."""
-        raw: dict = {}   # key -> (value, line number)
-        workers: list = []
-        role_changes: list = []
+        """Parse the key/value config format (see README for the schema).
+        Every ConfigError names the line of the key it rejects."""
+        raw, lines, workers, role_changes = {}, {}, [], []   # raw: key -> value
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -232,48 +240,43 @@ class SystemConfig:
             if key == "worker":
                 workers.extend(_parse_worker(value, lineno))
             elif key == "role_change":
+                lines["role_change", len(role_changes)] = lineno
                 role_changes.append(_parse_role_change(value, lineno))
             elif key in raw:
                 raise ConfigError(f"line {lineno}: {key!r} is already set "
-                                  f"on line {raw[key][1]}")
+                                  f"on line {lines[key]}")
             else:
-                raw[key] = (value, lineno)
-        name, lineno = raw.pop("scheme", ("type2", 0))
-        try:
-            scheme_cls = rep.scheme_class(name)
-            takes = rep.scheme_params(scheme_cls)
-            params = {}
+                raw[key], lines[key] = value, lineno
+        lineno = lines.get("scheme", 0)
+        try:   # each scheme parameter is checked on its own line
+            scheme = rep.scheme_class(raw.pop("scheme", "type2"))()
             for key in [k for k in raw if k in rep.PARAM_KEYS]:
-                value, lineno = raw.pop(key)
-                if key not in takes:
-                    raise ConfigError(f"scheme {scheme_cls.name} takes no {key!r}")
-                params[takes[key]] = _parse_number(float, value, key)
-            scheme = scheme_cls(**params)
+                lineno, attr = lines[key], rep.scheme_params(scheme).get(key)
+                if attr is None:
+                    raise ConfigError(f"scheme {scheme.name} takes no {key!r}")
+                scheme = replace(scheme, **{attr: _parse_number(float, raw.pop(key), key)})
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-        cfg = cls(scheme=scheme)
+        cfg = cls(scheme=scheme, role_changes=role_changes)
         if workers:
             cfg.workers = workers
-        if role_changes:
-            cfg.role_changes = role_changes
-        simple = {
-            "horizon": int, "p_a": float, "p_a_min": float, "tau": float,
-            "alpha_m": float, "alpha_w": float, "wpc": float, "wct": float,
-        }
-        rename = {"p_a": "p_a0"}
-        for key, (value, lineno) in raw.items():
+        for key, value in raw.items():
+            where = f"line {lines[key]}: {key}"
             if key == "seeds":
-                cfg.seeds = parse_seeds(value, f"line {lineno}: seeds")
-            elif key in simple:
-                setattr(cfg, rename.get(key, key),
-                        _parse_number(simple[key], value, f"line {lineno}: {key}"))
+                cfg.seeds = parse_seeds(value, where)
+            elif key in SETTINGS:
+                setattr(cfg, SETTINGS[key][0], _parse_number(SETTINGS[key][1], value, where))
             else:
-                raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        return cfg.validate()
-
-    @classmethod
-    def from_file(cls, path) -> "SystemConfig":
-        return cls.from_text(Path(path).read_text())
+                raise ConfigError(f"line {lines[key]}: unknown config key {key!r}")
+        for key, (_, _, lo, _) in SETTINGS.items():
+            if isinstance(lo, str):   # a default rejected through the bound `lo`
+                lines.setdefault(key, lines.get(lo))
+        try:
+            return cfg.validate()
+        except ConfigError as exc:
+            if lines.get(exc.key) is None:
+                raise
+            raise ConfigError(f"line {lines[exc.key]}: {exc}", exc.key) from None
 
 
 def _num(x: float) -> str:
@@ -299,12 +302,12 @@ def _parse_worker(value: str, lineno: int) -> list:
         nums = [float(t) for t in toks[1:]]
     except ValueError:
         raise ConfigError(f"line {lineno}: bad numeric field in worker entry") from None
-    defaults = [0.5, 0.1, 1.0]
-    nums += defaults[len(nums):]
-    if len(nums) != 3:
+    if len(nums) > 3:
         raise ConfigError(f"line {lineno}: worker entry takes at most 3 numbers")
-    spec = WorkerSpec(wtype=wtype, p_c0=nums[0], aspiration=nums[1], wby=nums[2])
-    return [spec] * count
+    try:
+        return [WorkerSpec(wtype, *nums)] * count
+    except ConfigError as exc:
+        raise ConfigError(f"line {lineno}: worker: {exc}", "worker") from None
 
 
 def _parse_role_change(value: str, lineno: int) -> RoleChange:

@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from scipy import stats
 
@@ -282,22 +282,20 @@ class FitReport:
 
 
 def compare_engine_distribution(config: SystemConfig, state: ExactState,
-                                samples: int = 100_000, significance: float = 0.01,
-                                counts: Optional[dict] = None) -> FitReport:
-    """Chi-square goodness of fit of engine sampling vs. exact enumeration.
+                                samples: int = 100_000,
+                                significance: float = 0.01) -> FitReport:
+    """Chi-square goodness of fit of engine sampling (`sample_round_keys` at
+    seed 0) vs. exact enumeration.
 
     Bins are the branches (cheater set, audited, tie outcome).  Bins with
     expected count below 5 are pooled before the test; ValueError if that
-    leaves fewer than 2, too few samples for a test.  Pass `counts` to test
-    a pre-binned (possibly corrupted) sample instead of the engine's
-    (`sample_round_keys` at seed 0).
+    leaves fewer than 2, too few samples for a test.
     """
     state = state.canonical()
     expected_probs: dict = {}
     for prob, branch, _ in enumerate_transitions(config, state).successors:
         expected_probs[branch] = expected_probs.get(branch, 0.0) + prob
-    if counts is None:
-        counts = sample_round_keys(config, state, samples)
+    counts = sample_round_keys(config, state, samples)
     total = sum(counts.values())
 
     unexpected = set(counts) - set(expected_probs)

@@ -82,13 +82,10 @@ def list_scenarios() -> list:
     return sorted(_CATALOG)
 
 
-def _normalize(name: str) -> str:
-    return name.strip().replace("τ", "tau")
-
-
 def get_scenario(name: str) -> SystemConfig:
-    """Fresh config for a named preset; unknown names list the alternatives."""
-    key = _normalize(name)
+    """Fresh config for a named preset (τ may stand for tau); unknown names
+    list the alternatives."""
+    key = name.strip().replace("τ", "tau")
     if key not in _CATALOG:
         raise KeyError(f"unknown scenario {name!r}; known scenarios:\n  "
                        + "\n  ".join(list_scenarios()))
@@ -99,13 +96,11 @@ def get_scenario(name: str) -> SystemConfig:
 
 def run_scenario(name_or_config):
     """Run every seed and aggregate. Returns (ScenarioSummary, traces dict)."""
-    if isinstance(name_or_config, SystemConfig):
-        config, name = name_or_config, "custom"
-    else:
-        config, name = get_scenario(name_or_config), _normalize(name_or_config)
+    config = (name_or_config if isinstance(name_or_config, SystemConfig)
+              else get_scenario(name_or_config))
     config.validate()
     traces = {seed: run_simulation(config, seed) for seed in config.seeds}
-    return metrics.summarize(name, config, traces), traces
+    return metrics.summarize(config, traces), traces
 
 
 # -- the claims `repsim verify`, demo 05 and the acceptance tests check -------

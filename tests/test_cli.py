@@ -143,6 +143,50 @@ def test_non_finite_rejected_before_run(tmp_path, capsys, source, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text,line,key", [
+    ("tau = 2\n", 1, "tau"),
+    ("seeds = 1\nalpha_m = nan\n", 2, "alpha_m"),
+    ("horizon = -3\n", 1, "horizon"),
+    ("seeds = 1\nworker = rational 1.5\n", 2, "worker"),
+    ("worker = rational x2\nrole_change = 5 0 malicious\nrole_change = 5 7 malicious\n",
+     3, "role_change"),
+    ("seeds = 1\np_a_min = 0.2\np_a = 0.1\n", 3, "p_a"),
+    ("seeds = 1\np_a_min = 0.6\n", 2, "p_a"),
+    ("p_a_min = 2\np_a = 0.5\n", 1, "p_a_min"),
+    ("scheme = type3\nbeta_decay = -1\nerror_bound = 0.1\n", 2, "beta_decay"),
+], ids=["tau", "nan-alpha-m", "horizon", "worker-p-c0", "role-change-worker",
+        "p-a-below-floor", "floor-above-default-p-a", "floor-above-1",
+        "scheme-parameter"])
+def test_config_rejection_names_line_and_key(tmp_path, capsys, text, line, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"run: line {line}: ") and key in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_type3_at_its_error_bound_runs(tmp_path):
+    # every beta sits at error_bound, so every reputation reads 0.0 after an
+    # audit: the master weighs the workers equally
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("scheme = type3\nerror_bound = 0.05\nbeta_init = 0.05\n"
+                   "beta_decay = 1\nworker = altruistic x3\nhorizon = 50\nseeds = 1\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
+    assert {p.name for p in (tmp_path / "out").iterdir()} == {
+        "trace_seed1.csv", "summary.csv", "manifest.txt"}
+
+
+def test_failed_run_creates_no_out_dir(tmp_path, capsys, monkeypatch):
+    def fail(config):
+        raise ValueError("engine failure")
+    monkeypatch.setattr(scenarios, "run_scenario", fail)
+    assert run_cli("run", "--scenario", "rational9-type2-pc1",
+                   "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "run: engine failure\n"
+    assert not (tmp_path / "out").exists()
+
+
 #: `repsim verify <suite>` stdout at the CLI defaults, as first recorded.
 VERIFY_STDOUT = {
     "property1":

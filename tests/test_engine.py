@@ -1,10 +1,11 @@
+import math
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repsim import engine, reputation as rep, scenarios
+from repsim import engine, oracle, reputation as rep, scenarios
 from repsim.model import ExactState, RoleChange, SystemConfig, WorkerSpec, WorkerType
 from conftest import make_config, round_successor, run_round, weighted_majority
 
@@ -218,6 +219,16 @@ def assert_kernel_invariants(cfg, trace):
                                             for i in range(n))
 
 
+#: Every scheme at its defaults and at its bounds: type 2 with epsilon next to
+#: 0 and next to 1, type 3 starting at its error bound, where an audit that
+#: finds everyone truthful leaves every reputation at 0.0 under decay 1.
+SCHEMES = [rep.Type1(), rep.Type2(), rep.Type3(), rep.NoReputation(),
+           rep.Type2(epsilon=math.nextafter(0.0, 1.0)),
+           rep.Type2(epsilon=math.nextafter(1.0, 0.0)),
+           rep.Type3(error_bound=0.05, beta_init=0.05, decay=0.0),
+           rep.Type3(error_bound=0.05, beta_init=0.05, decay=1.0)]
+
+
 @st.composite
 def mixed_configs(draw):
     n = draw(st.integers(1, 5))
@@ -228,9 +239,7 @@ def mixed_configs(draw):
     changes = draw(st.lists(st.builds(RoleChange, st.integers(0, 150),
                                       st.integers(0, n - 1),
                                       st.sampled_from(list(WorkerType))), max_size=3))
-    return SystemConfig(workers=workers,
-                        scheme=rep.scheme_from_name(draw(st.sampled_from(
-                            ["type1", "type2", "type3", "none"]))),
+    return SystemConfig(workers=workers, scheme=draw(st.sampled_from(SCHEMES)),
                         p_a0=draw(st.floats(0.0, 1.0)), p_a_min=0.0,
                         tau=draw(st.floats(0.0, 1.0)), horizon=draw(st.integers(0, 200)),
                         seeds=(1,), role_changes=changes).validate()
@@ -258,10 +267,20 @@ def assert_same_trace(trace, reference):
 
 @settings(max_examples=60, deadline=None)
 @given(cfg=mixed_configs(), seed=st.integers(0, 10_000))
+# three altruists under type 3 at its error bound: every reputation reads 0.0
+# from the first audit on
+@example(cfg=SystemConfig(workers=[WorkerSpec(WorkerType.ALTRUISTIC)] * 3, scheme=SCHEMES[-1],
+                          horizon=50, seeds=(1,)), seed=1)
 def test_kernel_invariants(cfg, seed):
     trace = engine.run_simulation(cfg, seed)
+    assert len(trace) == cfg.horizon
     assert_kernel_invariants(cfg, trace)
     assert_same_trace(trace, stepped_trace(cfg, seed))
+    # the exact chain from the initial state and from one audited successor
+    dist = oracle.enumerate_transitions(cfg, cfg.initial_state())
+    audited = [state for _, branch, state in dist.successors if branch.audited]
+    for dist in [dist] + [oracle.enumerate_transitions(cfg, s) for s in audited[:1]]:
+        assert abs(dist.total() - 1.0) <= oracle.PROB_TOL
 
 
 def test_kernel_invariants_underflowed_type2():

@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repsim.model import (ConfigError, ExactState, RoleChange, SystemConfig,
+from repsim.model import (SETTINGS, ConfigError, ExactState, RoleChange, SystemConfig,
                           WorkerSpec, WorkerType, clamp, compute_payoffs)
 from repsim import reputation as rep
 
@@ -71,12 +74,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize("knob", ["alpha_m", "alpha_w", "wpc", "wct", "wby",
                                       "aspiration"])
     def test_non_finite_number_named(self, knob, value):
-        if knob in ("wby", "aspiration"):
-            cfg = SystemConfig(workers=[WorkerSpec(), WorkerSpec(**{knob: value})])
-        else:
-            cfg = SystemConfig(**{knob: value})
         with pytest.raises(ConfigError, match=f"^{knob} must be a finite number"):
-            cfg.validate()
+            if knob in ("wby", "aspiration"):   # a WorkerSpec checks its own numbers
+                WorkerSpec(**{knob: value})
+            else:
+                SystemConfig(**{knob: value}).validate()
 
     def test_empty_seed_list(self):
         with pytest.raises(ConfigError):
@@ -228,6 +230,17 @@ class TestConfigText:
     def test_repeated_seeds_rejected_in_code(self):
         with pytest.raises(ConfigError, match="seed 1 is repeated"):
             SystemConfig(seeds=(1, 2, 1)).validate()
+
+    def test_readme_block_names_every_key(self):
+        # the README's example config parses, sets every master setting and
+        # names every scheme parameter
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        SystemConfig.from_text(block)
+        set_keys = {line.split("=")[0].strip() for line in block.splitlines()
+                    if "=" in line.split("#")[0]}
+        assert set(SETTINGS) | {"scheme", "seeds", "worker", "role_change"} <= set_keys
+        assert rep.PARAM_KEYS <= set(re.findall(r"\w+", block))
 
     def test_scheme_parameters_not_given_keep_defaults(self):
         cfg = SystemConfig.from_text("scheme = type3\nbeta_decay = 0.9\n")

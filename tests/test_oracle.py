@@ -322,12 +322,13 @@ class TestEngineAgreement:
         counts = oracle.sample_round_keys(cfg, state, 20_000)
         assert sum(c for b, c in counts.items() if b.tie_outcome is not None) > 0
 
-    def test_corrupted_sampler_detected(self):
+    def test_corrupted_sampler_detected(self, monkeypatch):
         cfg = scenarios.mixed_roster()
         state = exact_state(cfg)
         # a sampler that audits half as often as the state says
         counts = oracle.sample_round_keys(cfg, replace(state, p_a=0.5 * state.p_a), 20_000)
-        report = oracle.compare_engine_distribution(cfg, state, counts=counts)
+        monkeypatch.setattr(oracle, "sample_round_keys", lambda *args: counts)
+        report = oracle.compare_engine_distribution(cfg, state)
         assert not report.passed
 
     def test_too_few_samples_rejected(self):
@@ -335,11 +336,12 @@ class TestEngineAgreement:
         with pytest.raises(ValueError, match="needs at least 2"):
             oracle.compare_engine_distribution(cfg, exact_state(cfg), samples=20)
 
-    def test_impossible_outcome_is_certain_failure(self):
+    def test_impossible_outcome_is_certain_failure(self, monkeypatch):
         cfg = scenarios.mixed_roster()
         state = exact_state(cfg)
         counts = {Branch(frozenset({0, 1, 2}), True, True): 100}
-        report = oracle.compare_engine_distribution(cfg, state, counts=counts)
+        monkeypatch.setattr(oracle, "sample_round_keys", lambda *args: counts)
+        report = oracle.compare_engine_distribution(cfg, state)
         assert not report.passed and report.p_value == 0.0
 
 
