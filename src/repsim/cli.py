@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle, reputation as rep, scenarios
-from .model import SystemConfig, parse_seeds
+from .model import SETTINGS, ConfigError, SystemConfig, parse_seeds
 
 FMT = "%.10g"
 
@@ -63,11 +63,17 @@ def write_summary(path: Path, summary, n: int):
     path.write_text("\n".join(chain([",".join(header)], lines, [""])))
 
 
+#: Config key (of `model.SETTINGS`, or a worker's) -> the run flag setting it.
+FLAGS = {"horizon": "horizon", "p_a": "pa0", "p_a_min": "pamin", "tau": "tau",
+         "alpha_m": "alpha", "alpha_w": "alpha", "wpc": "wpc", "wct": "wct",
+         "wby": "wby", "aspiration": "aspiration"}
+
+
 def _apply_overrides(config: SystemConfig, args) -> SystemConfig:
+    """The config with the flags applied.  A ConfigError on a key a flag set,
+    or on a setting bounded by one (p_a by p_a_min), names that flag."""
     if args.seeds is not None:
         config.seeds = parse_seeds(args.seeds, "--seeds")
-    if args.horizon is not None:
-        config.horizon = args.horizon
     if args.scheme is not None or args.epsilon is not None:
         name = args.scheme or config.scheme.name
         # a scheme named again keeps its parameters; --epsilon overrides
@@ -75,18 +81,20 @@ def _apply_overrides(config: SystemConfig, args) -> SystemConfig:
         if args.epsilon is not None:
             params["epsilon"] = args.epsilon
         config.scheme = rep.scheme_from_name(name, **params)
-    for attr, val in (("tau", args.tau), ("wpc", args.wpc), ("wct", args.wct),
-                      ("p_a0", args.pa0), ("p_a_min", args.pamin)):
-        if val is not None:
-            setattr(config, attr, val)
-    if args.alpha is not None:
-        config.alpha_m = config.alpha_w = args.alpha
-    if args.wby is not None:
-        config.workers = [replace(w, wby=args.wby) for w in config.workers]
-    if args.aspiration is not None:
-        config.workers = [replace(w, aspiration=args.aspiration)
-                          for w in config.workers]
-    return config.validate()
+    given = {k: getattr(args, f) for k, f in FLAGS.items() if getattr(args, f) is not None}
+    try:
+        for key, value in given.items():
+            if key in SETTINGS:
+                setattr(config, SETTINGS[key][0], value)
+            else:
+                config.workers = [replace(w, **{key: value}) for w in config.workers]
+        return config.validate()
+    except ConfigError as exc:
+        bound = SETTINGS[exc.key][2] if exc.key in SETTINGS else None
+        flag = next((FLAGS[k] for k in (exc.key, bound) if k in given), None)
+        if flag is None:
+            raise
+        raise ConfigError(f"--{flag}: {exc}", exc.key) from None
 
 
 def cmd_run(args) -> int:

@@ -119,6 +119,26 @@ def test_bad_seeds_named_by_flag(tmp_path, capsys, seeds, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--pa0", "2"), "--pa0: p_a must lie in [p_a_min, 1], got 2.0"),
+    (("--pamin", "2"), "--pamin: p_a_min must lie in [0, 1], got 2.0"),
+    (("--pamin", "0.6"), "--pamin: p_a must lie in [p_a_min, 1], got 0.5"),
+    (("--tau", "-0.5"), "--tau: tau must lie in [0, 1], got -0.5"),
+    (("--wpc", "-1"), "--wpc: wpc must be a finite number >= 0, got -1.0"),
+    (("--wct", "nan"), "--wct: wct must be a finite number >= 0, got nan"),
+    (("--alpha", "inf"), "--alpha: alpha_m must be a finite number >= 0, got inf"),
+    (("--horizon", "-3"), "--horizon: horizon must be a finite number >= 0, got -3"),
+    (("--wby", "-1"), "--wby: wby must be a finite number >= 0, got -1.0"),
+    (("--aspiration", "nan"), "--aspiration: aspiration must be a finite number, got nan"),
+], ids=["pa0", "pamin", "pamin-above-p-a", "tau", "wpc", "wct", "alpha", "horizon",
+        "wby", "aspiration"])
+def test_bad_flag_named(tmp_path, capsys, flags, message):
+    assert run_cli("run", "--scenario", "rational9-type2-pc1", *flags,
+                   "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"run: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("source,key", [
     (("--config", "scheme = type3\nbeta_decay = -1\n"), "beta_decay"),
     (("--config", "scheme = type3\nbeta_increment = -0.5\n"), "beta_increment"),

@@ -239,8 +239,9 @@ def mixed_configs(draw):
     changes = draw(st.lists(st.builds(RoleChange, st.integers(0, 150),
                                       st.integers(0, n - 1),
                                       st.sampled_from(list(WorkerType))), max_size=3))
+    p_a_min = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     return SystemConfig(workers=workers, scheme=draw(st.sampled_from(SCHEMES)),
-                        p_a0=draw(st.floats(0.0, 1.0)), p_a_min=0.0,
+                        p_a0=draw(st.floats(p_a_min, 1.0)), p_a_min=p_a_min,
                         tau=draw(st.floats(0.0, 1.0)), horizon=draw(st.integers(0, 200)),
                         seeds=(1,), role_changes=changes).validate()
 

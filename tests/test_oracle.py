@@ -1,6 +1,11 @@
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,6 +327,13 @@ class TestEngineAgreement:
         counts = oracle.sample_round_keys(cfg, state, 20_000)
         assert sum(c for b, c in counts.items() if b.tie_outcome is not None) > 0
 
+    def test_widest_roster_matches_enumeration(self):
+        # 2,300 bins and a statistic near 2,300: past where e^(-x/2) underflows
+        cfg = make_config(n=oracle.MAX_WORKERS, scheme="type2", p_c0=0.5)
+        report = oracle.compare_engine_distribution(cfg, exact_state(cfg))
+        assert report.bins > 2000 and report.statistic > 1500
+        assert report.passed, (report.statistic, report.p_value)
+
     def test_corrupted_sampler_detected(self, monkeypatch):
         cfg = scenarios.mixed_roster()
         state = exact_state(cfg)
@@ -374,3 +386,78 @@ def test_sampler_counts_equal_reference(name):
     config, state = sampler_states()[name]
     assert oracle.sample_round_keys(config, state, 5_000, seed=3) == reference_sample(
         config, state, 5_000, seed=3)
+
+
+def poisson_tail(h: int, m: int) -> float:
+    """e^-h · Σ_{i<m} h^i/i!, the chi-square tail at x = 2h with k = 2m
+    degrees of freedom, for integers h and m >= 1.  The sum times (m-1)! is
+    an exact integer, so only the logarithms of it and of (m-1)! and the
+    final exp round: about 1e-12 relative at m = 2,000."""
+    term, total = math.factorial(m - 1), 0
+    for i in range(m):   # term == (m-1)!/i! · h^i, exactly
+        total += term
+        term = term * h // (i + 1)
+    return math.exp(math.log(total) - math.log(math.factorial(m - 1)) - h)
+
+
+class TestChi2Tail:
+    @pytest.mark.parametrize("x", [1e-300, 0.01, 1.0, 7.5, 40.0, 1500.0])
+    def test_one_and_two_degrees(self, x):
+        assert oracle.chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+        assert oracle.chi2_sf(x, 2) == math.exp(-x / 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 4000])
+    def test_zero_is_certain(self, k):
+        assert oracle.chi2_sf(0.0, k) == 1.0
+        assert oracle.chi2_sf(5e-324, k) == 1.0   # halves to 0.0
+
+    @pytest.mark.parametrize("x,k,tail", [
+        (3.841458820694124, 1, 0.05), (6.634896601021217, 1, 0.01),
+        (5.991464547107979, 2, 0.05), (9.210340371976182, 2, 0.01),
+        (18.307038053275146, 10, 0.05), (23.209251158954356, 10, 0.01),
+        (124.34211340400407, 100, 0.05), (135.80672317102676, 100, 0.01),
+    ])
+    def test_critical_values(self, x, k, tail):
+        assert oracle.chi2_sf(x, k) == pytest.approx(tail, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [3800, 4000, 4200])
+    def test_large_even_k_exact(self, x):
+        # h = 1,900 to 2,100: e^-h is 0.0 in floats and h^i/i! overflows, so
+        # the product form reads nan or 0 here
+        assert math.exp(-x / 2) == 0.0
+        assert oracle.chi2_sf(float(x), 4000) == pytest.approx(
+            poisson_tail(x // 2, 2000), rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(0.0, 15_000.0), y=st.floats(0.0, 15_000.0),
+           k=st.integers(1, 5000))
+    def test_monotone_probability(self, x, y, k):
+        # within 1e-10 relative, the accuracy the tail is checked to above
+        lo, hi = sorted((x, y))
+        at_lo, at_hi = oracle.chi2_sf(lo, k), oracle.chi2_sf(hi, k)
+        assert 0.0 <= at_hi <= at_lo * (1 + 1e-10)
+        assert at_lo <= 1.0
+        assert at_lo <= oracle.chi2_sf(lo, k + 1) * (1 + 1e-10)
+
+
+def test_imports_numpy_only():
+    """repsim, its CLI and a chi-square check load no package outside the
+    standard library but numpy, the one dependency: a statistics library
+    imported for the p-value would cost every process about a second."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys\n"
+            "before = {m.split('.')[0] for m in sys.modules}\n"
+            "import repsim, repsim.cli\n"
+            "from repsim import oracle, scenarios\n"
+            "cfg = scenarios.mixed_roster()\n"
+            "report = oracle.compare_engine_distribution(cfg, cfg.initial_state(),\n"
+            "                                            samples=2_000)\n"
+            "loaded = {m.split('.')[0] for m in sys.modules} - before\n"
+            "print(report.bins > 1, sorted(loaded - set(sys.stdlib_module_names)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True ['numpy', 'repsim']\n"
