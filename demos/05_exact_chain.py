@@ -2,8 +2,8 @@
 
 For small rosters every round is a finite random choice: which subset
 cheats, whether the master audits, and (rarely) a tie coin.  The oracle
-enumerates these branches through the same transition kernel the sampling
-engine uses, which lets us do three things no amount of sampling can:
+enumerates these branches from the engine's own rule functions, which lets
+us do three things no amount of sampling can:
 
 1. compute exact reachability probabilities,
 2. certify that a set of states is closed (inescapable), and

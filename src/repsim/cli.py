@@ -80,7 +80,10 @@ def _apply_overrides(config: SystemConfig, args) -> SystemConfig:
         params = asdict(config.scheme) if name == config.scheme.name else {}
         if args.epsilon is not None:
             params["epsilon"] = args.epsilon
-        config.scheme = rep.scheme_from_name(name, **params)
+        try:
+            config.scheme = rep.scheme_from_name(name, **params)
+        except ValueError as exc:   # kept or default parameters are valid
+            raise ConfigError(f"--epsilon: {exc}", "epsilon") from None
     given = {k: getattr(args, f) for k, f in FLAGS.items() if getattr(args, f) is not None}
     try:
         for key, value in given.items():

@@ -1,12 +1,12 @@
 """Exact enumeration of the round-to-round Markov chain on small rosters.
 
 States are canonicalized to a fixed 12-decimal grid so that successor states
-produced along different paths merge.  Successors are the states the
-engine's round produces, built from its own scalar rules tabulated per
-worker and expanded to every cheater set with `itertools.product` (see
-`enumerate_transitions`); the oracle adds exact branch probabilities
-(cheater subsets x audit outcome, with ties split into two half-weighted
-branches).  `sample_round_keys` draws the same branches the
+produced along different paths merge; the probabilities are exact for that
+grid chain.  `enumerate_transitions` tabulates each worker's (honest,
+cheated) cells from the engine's own scalar rules and reads every cheater
+set's successors off one row of their `itertools.product`, with exact
+branch probabilities (cheater subsets x audit outcome, ties split into two
+half-weighted branches).  `sample_round_keys` draws the same branches the
 way `engine.run_simulation` does, for the chi-square comparison.
 """
 from __future__ import annotations
@@ -59,20 +59,6 @@ def _cheater_sets(n: int) -> tuple:
                  for bits in itertools.product((False, True), repeat=n))
 
 
-def _rows(pairs, live):
-    """Per cheater set flagged in `live` (in `_cheater_sets` order), the tuple
-    over workers i of `pairs[i][1]` if i cheats, else `pairs[i][0]`: the
-    kernel's own objects, so successors equal and repr as the kernel's."""
-    return itertools.compress(itertools.product(*pairs), live)
-
-
-def _sums(pairs, live):
-    """`sum` of each row of `_rows`, as the rows stream: workers add in index
-    order, as `rep.aggregate` and the engine's camp sums add them (another
-    order rounds differently, moving ties and the bits of p_a)."""
-    return map(sum, _rows(pairs, live))
-
-
 def cheater_set_probabilities(state: ExactState):
     """(subset, probability) for every cheater set with non-zero mass.
 
@@ -98,69 +84,73 @@ def _next_p_c(config, state, audited, honest_won=False):
             for h, c in zip(honest, cheated)]
 
 
-def _audited_successors(config, state, sets, live):
-    """Canonical successor of each live set's audited branch.  Where every
-    post-audit reputation underflowed, the set's p_a comes from
-    `engine._audit` itself, which re-reads them."""
-    scheme, aud = config.scheme, state.aud + 1
-    counts = [[rep.audit_update(scheme, v, b, truthful=not c) for c in (False, True)]
-              for v, b in zip(state.v, state.beta)]
-    rho = [[rep.value(scheme, v, aud, b) for v, b in pair] for pair in counts]
-    rows = zip(sets, _sums([(0.0, c) for _, c in rho], live), _sums(rho, live),
-               _rows(_next_p_c(config, state, audited=True), live),
-               _rows([[v for v, _ in pair] for pair in counts], live),
-               _rows([[round(b, GRID_DECIMALS) for _, b in pair] for pair in counts], live))
-    for (cheaters, _), rho_cheat, rho_total, p_c, v, beta in rows:
-        if rho_total == 0.0:
-            p_a = engine._audit(config, state.p_a, state.aud, state.v, state.beta,
-                                cheaters, sorted(cheaters))[0]
-        else:
-            p_a = engine.master_update(config, state.p_a, rho_cheat, rho_total)
-        yield ExactState(round(p_a, GRID_DECIMALS), aud, p_c, v, beta)
-
-
 def enumerate_transitions(config: SystemConfig, state: ExactState) -> TransitionDistribution:
     """Exact one-step distribution from `state`.
 
     Ties in the unaudited weighted majority split into two half-probability
-    branches instead of consuming randomness.  Raises OracleBoundError past
-    MAX_WORKERS workers, RuntimeError if the masses miss 1 by over PROB_TOL.
+    branches.  Raises OracleBoundError past MAX_WORKERS workers,
+    RuntimeError if the masses miss 1 by over PROB_TOL.  Exact for the chain
+    on the `GRID_DECIMALS` (12-decimal) grid, not for the float chain
+    `repsim run` steps: a p_c one or two ulps below 1 counts as trapped here
+    one round earlier.
 
-    Given the audit flag, a worker's successor entries depend only on whether
-    it cheated and, after a vote, on which camp won, so they are tabulated
-    once per state from the engine's scalar rules and expanded to the live
-    cheater sets by `_rows`; only the camp sums, the vote and the master's
-    update are computed per set.  The vote reads the reputations through
-    `engine.reread_underflow`, once for the state.
+    Each worker's (honest, cheated) cells, tabulated once per state from the
+    engine's scalar rules, hold its part of every column: camp reputations
+    (through `engine.reread_underflow`), p_c after either camp won and, if
+    p_a > 0, post-audit reputations, p_c, v and beta.  A cheater set's row
+    is one of the cells' `itertools.product`; its columns are summed into
+    camp weights in worker order, as `rep.aggregate` adds, or kept as the
+    successor's tuples.  Where every post-audit reputation reads 0.0, p_a
+    comes from `engine._audit`, which re-reads them.
     """
     n = len(config.workers)
     if n > MAX_WORKERS:
         raise OracleBoundError(f"roster of {n} exceeds the enumeration "
                                f"bound of {MAX_WORKERS} workers")
     state = state.canonical()
-    sets = cheater_set_probabilities(state)
-    live = list(map({s for s, _ in sets}.__contains__, _cheater_sets(n)))
-    audited = (_audited_successors(config, state, sets, live) if state.p_a > 0.0
-               else itertools.repeat(None))
-    rho = engine.reread_underflow(config.scheme, state.v, state.beta,
-                                  rep.values(config.scheme, state.v, state.aud,
-                                             state.beta))
-    # p_c_honest, p_c_cheat: the rows of p_c after the honest or cheating camp won
-    rows = zip(sets, audited, _sums([(r, 0.0) for r in rho], live),
-               _sums([(0.0, r) for r in rho], live),
-               *(_rows(_next_p_c(config, state, False, honest_won=hw), live)
-                 for hw in (True, False)))
+    scheme, p_a, aud = config.scheme, state.p_a, state.aud + 1
+    masses = dict(cheater_set_probabilities(state))
+    rho = engine.reread_underflow(scheme, state.v, state.beta,
+                                  rep.values(scheme, state.v, state.aud, state.beta))
+    # per column, one (honest, cheated) pair per worker
+    columns = [[(r, 0.0) for r in rho], [(0.0, r) for r in rho],
+               *(_next_p_c(config, state, False, honest_won=hw) for hw in (True, False))]
+    audited = p_a > 0.0
+    if audited:
+        counts = [[rep.audit_update(scheme, v, b, truthful=not c) for c in (False, True)]
+                  for v, b in zip(state.v, state.beta)]
+        rho_audited = [[rep.value(scheme, v, aud, b) for v, b in pair] for pair in counts]
+        columns += [[(0.0, c) for _, c in rho_audited], rho_audited,
+                    _next_p_c(config, state, audited=True),
+                    [[v for v, _ in pair] for pair in counts],
+                    [[round(b, GRID_DECIMALS) for _, b in pair] for pair in counts]]
+    cells = [tuple(zip(*pairs)) for pairs in zip(*columns)]
 
     def unaudited(p_c):
-        return ExactState(state.p_a, state.aud, p_c, state.v, state.beta)
+        return ExactState(p_a, state.aud, p_c, state.v, state.beta)
 
     successors = []
-    for (cheaters, p_f), succ, rho_honest, rho_cheat, p_c_honest, p_c_cheat in rows:
-        if succ is not None:
-            successors.append((state.p_a * p_f, Branch(cheaters, True), succ))
-        p_no_audit = (1.0 - state.p_a) * p_f
+    for cheaters, row in zip(_cheater_sets(n), itertools.product(*cells)):
+        p_f = masses.get(cheaters)
+        if p_f is None:
+            continue
+        if audited:
+            (rho_honest, rho_cheat, p_c_honest, p_c_cheat,
+             rho_cheat_audited, rho_total, p_c, v, beta) = zip(*row)
+            rho_total = sum(rho_total)
+            if rho_total == 0.0:
+                p_a_next = engine._audit(config, p_a, state.aud, state.v, state.beta,
+                                         cheaters, sorted(cheaters))[0]
+            else:
+                p_a_next = engine.master_update(config, p_a, sum(rho_cheat_audited), rho_total)
+            successors.append((p_a * p_f, Branch(cheaters, True),
+                               ExactState(round(p_a_next, GRID_DECIMALS), aud, p_c, v, beta)))
+        else:
+            rho_honest, rho_cheat, p_c_honest, p_c_cheat = zip(*row)
+        p_no_audit = (1.0 - p_a) * p_f
         if p_no_audit <= 0.0:
             continue
+        rho_honest, rho_cheat = sum(rho_honest), sum(rho_cheat)
         if rho_honest == rho_cheat:
             successors.append((0.5 * p_no_audit, Branch(cheaters, False, True),
                                unaudited(p_c_honest)))
@@ -180,7 +170,8 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
 def reach_probability(config: SystemConfig, start: ExactState,
                       predicate: Callable[[ExactState], bool], horizon: int,
                       max_states: int = 200_000) -> float:
-    """Exact probability that `predicate` holds at or before `horizon`.
+    """Exact probability that `predicate` holds at or before `horizon`, for
+    the chain on the `GRID_DECIMALS` grid (see `enumerate_transitions`).
 
     Breadth-first expansion with state merging; predicate states absorb.
     If the frontier outgrows `max_states`, raises OracleBoundError carrying

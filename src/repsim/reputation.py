@@ -59,7 +59,8 @@ class Type2(Scheme):
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("type 2 epsilon must lie strictly inside (0, 1)")
+            raise ValueError("type 2 epsilon must lie strictly inside (0, 1), "
+                             f"got {self.epsilon!r}")
 
     def formula(self, v: int, aud: int, beta: float) -> float:
         return self.epsilon ** (aud - v)

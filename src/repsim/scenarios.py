@@ -127,7 +127,9 @@ def trap_is_closed() -> bool:
 
 def trap_reach_probability(horizon: int = 200):
     """(probability, exact) of reaching the trap from its config's start within
-    `horizon` rounds; past 5,000 frontier states, the mass absorbed so far."""
+    `horizon` rounds; past 5,000 frontier states, the mass absorbed so far.
+    Exact for the chain on the `GRID_DECIMALS` (12-decimal) grid, which counts
+    a p_c one or two ulps below 1 as trapped a round before `repsim run` does."""
     config, _, trapped = all_cheat_trap()
     try:
         return oracle.reach_probability(config, config.initial_state(), trapped,

@@ -130,8 +130,11 @@ def test_bad_seeds_named_by_flag(tmp_path, capsys, seeds, message):
     (("--horizon", "-3"), "--horizon: horizon must be a finite number >= 0, got -3"),
     (("--wby", "-1"), "--wby: wby must be a finite number >= 0, got -1.0"),
     (("--aspiration", "nan"), "--aspiration: aspiration must be a finite number, got nan"),
+    (("--epsilon", "2"), "--epsilon: type 2 epsilon must lie strictly inside (0, 1), got 2.0"),
+    (("--scheme", "type3", "--epsilon", "0.3"),
+     "--epsilon: scheme type3 takes no parameter 'epsilon'"),
 ], ids=["pa0", "pamin", "pamin-above-p-a", "tau", "wpc", "wct", "alpha", "horizon",
-        "wby", "aspiration"])
+        "wby", "aspiration", "epsilon", "epsilon-on-type3"])
 def test_bad_flag_named(tmp_path, capsys, flags, message):
     assert run_cli("run", "--scenario", "rational9-type2-pc1", *flags,
                    "--out", str(tmp_path / "out")) == 1

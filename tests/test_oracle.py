@@ -102,12 +102,14 @@ def tie_heavy_config():
     return make_config(n=4, scheme="none", p_c0=0.5, p_a0=0.3)
 
 
-def underflowed_state():
-    """Three type 2 workers whose reputations all read 0.0, before and after
-    an audit, with worker 1 the best validated."""
-    config = make_config(n=3, scheme="type2", p_c0=0.5)
-    return config, ExactState(p_a=0.4, aud=1200, p_c=(0.3, 0.5, 0.8), v=(3, 5, 3),
-                              beta=(0.0,) * 3)
+def underflowed_state(n=3):
+    """n <= 8 type 2 workers whose reputations all read 0.0, before and after
+    an audit, with worker 1 the best validated; every p_c lies inside (0, 1),
+    so every cheater set is live."""
+    config = make_config(n=n, scheme="type2", p_c0=0.5)
+    p_c = (0.3, 0.5, 0.8, 0.2, 0.6, 0.4, 0.7, 0.9)[:n]
+    return config, ExactState(p_a=0.4, aud=1200, p_c=p_c, v=(3, 5, 3, 4, 0, 2, 1, 3)[:n],
+                              beta=(0.0,) * n)
 
 
 class TestCheaterSets:
@@ -214,12 +216,14 @@ class TestReferenceAgreement:
         assert_matches_reference(config, state)
 
     def test_underflowed_type2_state(self):
-        config, state = underflowed_state()
-        assert all(rep.value(config.scheme, v, state.aud + 1) == 0.0 for v in state.v)
-        assert_matches_reference(config, state)
-        dist = oracle.enumerate_transitions(config, state)
-        # the camp holding worker 1 wins every unaudited vote
-        assert all(b.tie_outcome is None for _, b, _ in dist.successors)
+        for n in (3, 8):   # at 8, the fallback runs for all 256 cheater sets
+            config, state = underflowed_state(n)
+            assert len(oracle.cheater_set_probabilities(state)) == 2 ** n
+            assert all(rep.value(config.scheme, v, state.aud + 1) == 0.0 for v in state.v)
+            assert_matches_reference(config, state)
+            dist = oracle.enumerate_transitions(config, state)
+            # the camp holding worker 1 wins every unaudited vote
+            assert all(b.tie_outcome is None for _, b, _ in dist.successors)
 
 
 class TestReachProbability:
