@@ -14,6 +14,7 @@ manifest; they contain no timestamps or machine information.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, replace
 from itertools import chain
@@ -27,40 +28,58 @@ from .model import SETTINGS, ConfigError, SystemConfig, parse_seeds
 FMT = "%.10g"
 
 
-def write_trace(path: Path, seed: int, trace, cols: dict):
-    """One line per round, one format string over the trace's columns `cols`
-    (`metrics.trace_columns`).  Rounds without an audit hand on one
-    reputations tuple, whose text is reused by identity, never by value:
-    -0.0 == 0.0, yet the two print differently."""
-    n = cols["p_c"].shape[1]
+#: Text of a 0/1 field, indexed by the field.
+_BIT_TEXT = np.array(["0", "1"], dtype=object)
+
+
+def _texts(floats: np.ndarray) -> np.ndarray:
+    """`FMT % x` of every element of the 2-d float array `floats`, as an object
+    array of its shape.  Each distinct bit pattern is formatted once: keyed by
+    bits, not by value, -0.0 (printed -0) stays apart from 0.0.  Only values
+    whose bits differ from the value above them in their column are looked up;
+    the others take the text above them."""
+    bits = floats.T.view(np.uint64)
+    new = np.ones(bits.shape, dtype=bool)
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
+    values, where = np.unique(bits[new], return_inverse=True)
+    texts = np.array([FMT % x for x in values.view(float).tolist()], dtype=object)
+    # a column's first value is always new, so the fill stays inside its column
+    return texts[where[np.cumsum(new) - 1]].reshape(bits.shape).T
+
+
+def _write_rows(path: Path, header: list, columns: list):
+    """The header, then one line per row of the text columns side by side."""
+    lines = map(",".join, np.column_stack(columns).tolist())
+    path.write_text("\n".join(chain([",".join(header)], lines, [""])))
+
+
+def write_trace(path: Path, seed: int, cols: dict):
+    """One line per round of the trace's columns `cols` (`metrics.trace_columns`).
+    Each distinct bit pattern among the file's floats is formatted once
+    (`_texts`), so a p_a of -0.0 still prints -0."""
+    rounds, n = cols["p_c"].shape
     header = (["seed", "round", "audited", "accepted_correct", "tie", "p_a",
                "reputation_ratio"]
               + [f"p_c_{i}" for i in range(n)]
               + [f"rho_{i}" for i in range(n)]
               + [f"cheated_{i}" for i in range(n)])
-    fmt = ",".join([str(seed)] + ["%d"] * 4 + [FMT] * (2 + n) + ["%s"] + ["%d"] * n)
-    rho_fmt, rho_texts, last, text = ",".join([FMT] * n), [], None, ""
-    for o in trace:
-        if o.reputations_after is not last:
-            last, text = o.reputations_after, rho_fmt % o.reputations_after
-        rho_texts.append(text)
-    flags = np.column_stack([cols["round"], cols["audited"], cols["correct"], cols["tie"]])
-    floats = np.column_stack([cols["p_a"], cols["reputation_ratio"], cols["p_c"]])
-    rows = zip(map(np.ndarray.tolist, flags), map(np.ndarray.tolist, floats), rho_texts,
-               map(np.ndarray.tolist, cols["cheated"]))
-    lines = (fmt % (*f, *x, r, *c) for f, x, r, c in rows)
-    path.write_text("\n".join(chain([",".join(header)], lines, [""])))
+    flags = np.column_stack([cols["audited"], cols["correct"], cols["tie"]])
+    floats = np.column_stack([cols["p_a"], cols["reputation_ratio"], cols["p_c"], cols["rho"]])
+    _write_rows(path, header, [np.full(rounds, str(seed), dtype=object),
+                               np.array(list(map(str, cols["round"].tolist())), dtype=object),
+                               _BIT_TEXT[flags.astype(np.intp)], _texts(floats),
+                               _BIT_TEXT[cols["cheated"].astype(np.intp)]])
 
 
 def write_summary(path: Path, summary, n: int):
-    """One line per round from one format string over the summary's columns."""
+    """One line per round of the summary's columns; each distinct float of the
+    file is formatted once (`_texts`)."""
     header = (["round", "p_a", "audit_rate", "correct_rate", "reputation_ratio"]
               + [f"p_c_{i}" for i in range(n)] + [f"rho_{i}" for i in range(n)])
-    fmt = ",".join(["%d"] + [FMT] * (4 + 2 * n))
     floats = np.column_stack([summary.p_a, summary.audit_rate, summary.correct_rate,
                               summary.reputation_ratio, summary.p_c.T, summary.rho.T])
-    lines = (fmt % (r, *x) for r, x in enumerate(map(np.ndarray.tolist, floats)))
-    path.write_text("\n".join(chain([",".join(header)], lines, [""])))
+    rounds = np.array(list(map(str, range(len(floats)))), dtype=object)
+    _write_rows(path, header, [rounds, _texts(floats)])
 
 
 #: Config key (of `model.SETTINGS`, or a worker's) -> the run flag setting it.
@@ -113,15 +132,19 @@ def cmd_run(args) -> int:
             name = Path(args.config).stem
         config = _apply_overrides(config, args)
         summary, traces = scenarios.run_scenario(config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError, KeyError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 1
-    for seed, trace in traces.items():
-        write_trace(out / f"trace_seed{seed}.csv", seed, trace, summary.columns[seed])
-    write_summary(out / "summary.csv", summary, config.n)
-    (out / "manifest.txt").write_text(config.to_text())
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for seed, cols in summary.columns.items():
+            write_trace(out / f"trace_seed{seed}.csv", seed, cols)
+        write_summary(out / "summary.csv", summary, config.n)
+        (out / "manifest.txt").write_text(config.to_text())
+    except OSError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 1
     conv = [c for c in summary.convergence_rounds if c is not None]
     print(f"{name}: {len(traces)} seeds, horizon {config.horizon}, "
           f"converged {len(conv)}/{len(traces)}"
@@ -235,7 +258,9 @@ def _checked(cast, accept, expected: str):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `repsim` parser, built once per process: `parse_args` leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="repsim",
         description="Reputation-based master-worker computing simulator")

@@ -1,10 +1,13 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repsim import cli, scenarios
-from repsim.model import SystemConfig, WorkerSpec, WorkerType
+from repsim import cli, metrics, scenarios
+from repsim.model import RoundOutcome, SystemConfig, WorkerSpec, WorkerType
 from repsim.reputation import scheme_from_name
 from conftest import verify_stdout
 
@@ -200,6 +203,16 @@ def test_type3_at_its_error_bound_runs(tmp_path):
         "trace_seed1.csv", "summary.csv", "manifest.txt"}
 
 
+@pytest.mark.parametrize("name", ["trace_seed1.csv", "summary.csv", "manifest.txt"])
+def test_failed_write_is_one_line(tmp_path, capsys, name):
+    (tmp_path / name).mkdir()
+    assert run_cli("run", "--scenario", "rational9-type2-pc05", "--seeds", "1",
+                   "--out", str(tmp_path)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("run: ") and name in err
+
+
 def test_failed_run_creates_no_out_dir(tmp_path, capsys, monkeypatch):
     def fail(config):
         raise ValueError("engine failure")
@@ -322,6 +335,8 @@ WRITER_CASES = {
     # no audit ever happens, so p_a stays -0.0
     "negative-zero": _config("none", (ALT, 0.0, 2), (MAL, 1.0, 1), p_a0=-0.0,
                              p_a_min=-0.0, horizon=50),
+    # no round at all: header-only files
+    "horizon-zero": _config("type2", (ALT, 0.0, 2), (MAL, 1.0, 1), horizon=0),
 }
 
 
@@ -335,8 +350,7 @@ def test_writers_match_reference(tmp_path, case):
     summary, traces = scenarios.run_scenario(replace(WRITER_CASES[case], seeds=(1, 2)))
     n = WRITER_CASES[case].n
     for seed, trace in traces.items():
-        got = _written(cli.write_trace, tmp_path / "t.csv", seed, trace,
-                       summary.columns[seed])
+        got = _written(cli.write_trace, tmp_path / "t.csv", seed, summary.columns[seed])
         assert got == _written(reference_write_trace, tmp_path / "r.csv", seed, trace, n)
     got_summary = _written(cli.write_summary, tmp_path / "s.csv", summary, n)
     assert got_summary == _written(reference_write_summary, tmp_path / "r.csv", summary, n)
@@ -344,3 +358,52 @@ def test_writers_match_reference(tmp_path, case):
         # -0.0 == 0.0, but the trace prints -0 and the seed mean prints 0
         assert {row.split(b",")[5] for row in got.splitlines()[1:]} == {b"-0"}
         assert {row.split(b",")[1] for row in got_summary.splitlines()[1:]} == {b"0"}
+    if case == "horizon-zero":
+        assert got.count(b"\n") == got_summary.count(b"\n") == 1
+
+
+#: Floats the writers must print as `reference_write_*` do: both zeros, the
+#: least subnormal, both sides of `%.10g`'s switch to exponent form, and
+#: pairs whose bits differ past the 10th significant digit (same text).
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324,
+               1e-4, 9.99999999995e-05, 9.999999999e-05,      # 0.0001 0.0001 9.999999999e-05
+               9999999999.0, 9999999999.5, 1e10,              # 9999999999 1e+10 1e+10
+               0.1, math.nextafter(0.1, 1.0), 1 / 3, math.nextafter(1 / 3, 0.0), 1.0]
+# bounded so that a trace's reputation ratio, a sum of up to four, stays finite
+edge_floats = st.sampled_from(EDGE_FLOATS) | st.floats(-1e300, 1e300)
+
+
+@st.composite
+def edge_traces(draw):
+    n = draw(st.integers(1, 4))
+    per_worker = st.lists(edge_floats, min_size=n, max_size=n).map(tuple)
+    trace = [RoundOutcome(r, frozenset(draw(st.sets(st.integers(0, n - 1)))),
+                          draw(st.booleans()), frozenset(), draw(st.booleans()),
+                          draw(st.booleans()), (), draw(per_worker), draw(edge_floats),
+                          draw(per_worker))
+             for r in range(draw(st.integers(0, 6)))]
+    return n, trace
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=edge_traces(), seed=st.integers(0, 10_000))
+def test_write_trace_matches_reference_on_edge_values(tmp_path, case, seed):
+    n, trace = case
+    got = _written(cli.write_trace, tmp_path / "t.csv", seed, metrics.trace_columns(trace, n))
+    assert got == _written(reference_write_trace, tmp_path / "r.csv", seed, trace, n)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 4), data=st.data())
+def test_write_summary_matches_reference_on_edge_values(tmp_path, n, data):
+    rows = data.draw(st.lists(st.lists(edge_floats, min_size=4 + 2 * n, max_size=4 + 2 * n),
+                              max_size=6))
+    table = np.array(rows, dtype=float).reshape(len(rows), 4 + 2 * n)
+    summary = metrics.ScenarioSummary(
+        seeds=(1,), p_a=table[:, 0], audit_rate=table[:, 1], correct_rate=table[:, 2],
+        reputation_ratio=table[:, 3], p_c=table[:, 4:4 + n].T, rho=table[:, 4 + n:].T,
+        convergence_rounds=(None,), total_audits=0.0, columns={})
+    got = _written(cli.write_summary, tmp_path / "s.csv", summary, n)
+    assert got == _written(reference_write_summary, tmp_path / "r.csv", summary, n)
