@@ -7,8 +7,8 @@ from .reputation import (NoReputation, Type1, Type2, Type3,
                          scheme_from_name)
 from .engine import run_simulation
 from .oracle import (OracleBoundError, TransitionDistribution,
-                     check_closed, compare_engine_distribution,
-                     enumerate_transitions, find_escape, reach_probability)
+                     compare_engine_distribution, enumerate_transitions,
+                     find_escape, reach_probability)
 from .metrics import ScenarioSummary, detect_convergence, reputation_ratio
 from .scenarios import (all_cheat_trap, all_honest_set, get_scenario,
                         list_scenarios, mixed_roster, run_scenario,

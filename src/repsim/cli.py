@@ -215,7 +215,7 @@ def _verify_closed_sets(args) -> bool:
     closed = scenarios.trap_is_closed()
     ok = _verdict(f"closed-sets: all-cheat untruthful set closed={closed}", closed)
     config, seed, predicate, project = scenarios.all_honest_set()
-    closed = oracle.check_closed(config, [seed], predicate, project=project)
+    closed = oracle.find_escape(config, [seed], predicate, project=project) is None
     ok &= _verdict(f"closed-sets: covered honest set (type 2) closed={closed}", closed)
     config, seed, predicate, project = scenarios.all_honest_set(covered=False)
     escape = oracle.find_escape(config, [seed], predicate, project=project)
@@ -243,6 +243,11 @@ def cmd_verify(args) -> int:
             print(f"{name}: resource bound exceeded: {exc}", file=sys.stderr)
             ok = False
     return 0 if ok else 1
+
+
+def cmd_list_scenarios(args) -> int:
+    print("\n".join(scenarios.list_scenarios()))
+    return 0
 
 
 def _checked(cast, accept, expected: str):
@@ -282,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--pa0", type=float)
     run.add_argument("--pamin", type=float)
     run.add_argument("--out", default="out")
-    run.set_defaults(fn=cmd_run)
 
     verify = sub.add_parser("verify", help="check properties and lemma instances")
     verify.add_argument("suite", choices=sorted(VERIFY_SUITES) + ["all"])
@@ -293,16 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=positive, default=100_000)
     verify.add_argument("--significance", default=0.01, type=_checked(
         float, lambda x: 0.0 < x < 1.0, "a number strictly between 0 and 1"))
-    verify.set_defaults(fn=cmd_verify)
 
-    ls = sub.add_parser("list-scenarios", help="print the preset catalog")
-    ls.set_defaults(fn=lambda args: (print("\n".join(scenarios.list_scenarios())), 0)[1])
+    sub.add_parser("list-scenarios", help="print the preset catalog")
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse `argv` and run its command, looked up by name at call time: the
+    cached parser holds no command function, so a replaced `cmd_run` runs."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

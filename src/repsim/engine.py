@@ -1,29 +1,20 @@
 """Round loop: strategy draws, auditing, weighted majority and learning.
 
 `_draw_branch` turns one round's uniforms into a branch (cheat pattern, audit
-flag, vote).  `run_simulation` steps the chain from it, settling each branch
-once per roster; the oracle's sampler counts its branches from one fixed
-state.  The chain state is `model.ExactState`; the knobs are read from the
-config.
+flag, vote) from the vote weights, which `reread_underflow` reads off the
+reputations each time they change: at the start of a run and in `_audit`.
+`run_simulation` steps the chain from it, settling each branch once per
+roster; the oracle's sampler counts its branches from one fixed state.  The
+chain state is `model.ExactState`; the knobs are read from the config.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import replace
 
 from . import reputation as rep
-from .model import (FIXED_PC, ExactState, RoundOutcome, SystemConfig,
-                    WorkerType, clamp, compute_payoffs)
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One stochastic outcome of a round: who cheated, audit and tie result."""
-
-    cheaters: frozenset
-    audited: bool
-    tie_outcome: Optional[bool] = None   # honest camp won the coin flip
+from .model import (FIXED_PC, RoundOutcome, SystemConfig, WorkerType, clamp,
+                    compute_payoffs)
 
 
 def decide_strategies(p_c, draw) -> tuple:
@@ -38,7 +29,9 @@ def decide_strategies(p_c, draw) -> tuple:
 
 
 def reread_underflow(scheme, v, beta, reps) -> tuple:
-    """`reps`, unless every one reads 0.0 (type 2 after ~1075 audits): then
+    """The vote weights of `reps`: `reps`, unless every one reads 0.0 (type 2
+    after ~1075 audits).  No reputation is negative and the two camps cover
+    every worker, so that is exactly when both camps would sum to 0.0.  Then
     the reputations read again at aud = max(v).  Type 2 depends only on
     aud - v, so that divides every value by the same eps^(aud - max(v)):
     camps keep their ratio, and the best-validated worker reads above 0.0,
@@ -50,26 +43,15 @@ def reread_underflow(scheme, v, beta, reps) -> tuple:
     return reps if any(reps) else (1.0,) * len(reps)
 
 
-def _camp_weights(scheme, v, beta, reps, camps):
-    """Sum of `reps` over each camp in `camps` (sequences of worker indices).
-
-    Workers add in index order from 0, as `rep.aggregate` adds them, over
-    `reread_underflow(reps)`: the camps cover every worker and no reputation
-    is negative, so every camp reads 0.0 exactly when every reputation does.
-    """
-    reps = reread_underflow(scheme, v, beta, reps)
-    return [sum(map(reps.__getitem__, members)) for members in camps]
-
-
-def _draw_branch(draw, scheme, p_a, p_c, v, beta, reputations, camps, votes):
+def _draw_branch(draw, p_a, p_c, weights, camps, votes):
     """One round's branch from the uniforms of `draw`.
 
     Draw order: n strategy uniforms (ascending index), one audit uniform,
     then one tie uniform only if the vote ties.  `camps` keeps each cheat
     pattern's (cheater set, honest indices, cheater indices, settled
-    branches); `votes` keeps each pattern's camp weights under
-    `reputations`, so it must be emptied when they change.  Returns
-    (camps entry, audited, tie, honest_win).
+    branches); `votes` keeps each pattern's camp sums of `weights`, added in
+    index order as `rep.aggregate` adds, so it must be emptied when they
+    change.  Returns (camps entry, audited, tie, honest_win).
     """
     pattern = decide_strategies(p_c, draw)
     entry = camps.get(pattern)
@@ -79,10 +61,11 @@ def _draw_branch(draw, scheme, p_a, p_c, v, beta, reputations, camps, votes):
                                   [i for i, c in enumerate(pattern) if c], {})
     if draw() < p_a:
         return entry, True, False, True
-    weights = votes.get(pattern)
-    if weights is None:
-        weights = votes[pattern] = _camp_weights(scheme, v, beta, reputations, entry[1:3])
-    rho_honest, rho_cheat = weights
+    rho = votes.get(pattern)
+    if rho is None:
+        rho = votes[pattern] = [sum(map(weights.__getitem__, members))
+                                for members in entry[1:3]]
+    rho_honest, rho_cheat = rho
     tie = rho_honest == rho_cheat
     return entry, False, tie, draw() < 0.5 if tie else rho_honest > rho_cheat
 
@@ -110,14 +93,16 @@ def worker_update(p_c: tuple, steps) -> tuple:
 
 
 def _audit(config: SystemConfig, p_a, aud, v, beta, cheaters, cheat):
-    """An audited round's (p_a', aud', v', beta', reputations'); `cheat` lists
-    `cheaters` in index order."""
-    scheme, n = config.scheme, config.n
+    """An audited round's (p_a', aud', v', beta', reputations', weights'):
+    the master reads the cheaters' share of the new vote weights.  `cheat`
+    lists `cheaters` in index order."""
+    scheme = config.scheme
     v, beta = zip(*(rep.audit_update(scheme, v[i], beta[i], truthful=i not in cheaters)
-                    for i in range(n)))
+                    for i in range(config.n)))
     reputations = rep.values(scheme, v, aud + 1, beta)
-    rho_cheat, rho_total = _camp_weights(scheme, v, beta, reputations, (cheat, range(n)))
-    return master_update(config, p_a, rho_cheat, rho_total), aud + 1, v, beta, reputations
+    weights = reread_underflow(scheme, v, beta, reputations)
+    p_a = master_update(config, p_a, sum(map(weights.__getitem__, cheat)), sum(weights))
+    return p_a, aud + 1, v, beta, reputations, weights
 
 
 def settle(config: SystemConfig, cheaters: frozenset, audited: bool, honest_win: bool):
@@ -135,20 +120,20 @@ def settle(config: SystemConfig, cheaters: frozenset, audited: bool, honest_win:
     return majority, payoffs, steps
 
 
-def apply_role_changes(config: SystemConfig, state: ExactState, round_: int):
-    """Swap worker types scheduled for `round_`: returns (config', state').
+def apply_role_changes(config: SystemConfig, p_c: tuple, round_: int):
+    """Swap worker types scheduled for `round_`: returns (config', p_c').
 
-    Validation counts and error rates are retained; only the type (and, for
-    the predefined types, the cheat probability) changes.
+    Only the type (and, for the predefined types, the cheat probability)
+    changes; validation counts and error rates are left as they are.
     """
     due = [rc for rc in config.role_changes if rc.round == round_]
     if not due:
-        return config, state
-    workers, p_c = list(config.workers), list(state.p_c)
+        return config, p_c
+    workers, p_c = list(config.workers), list(p_c)
     for rc in due:
         workers[rc.worker] = replace(workers[rc.worker], wtype=rc.new_type)
         p_c[rc.worker] = FIXED_PC.get(rc.new_type, p_c[rc.worker])
-    return replace(config, workers=workers), replace(state, p_c=tuple(p_c))
+    return replace(config, workers=workers), tuple(p_c)
 
 
 def run_simulation(config: SystemConfig, seed: int) -> list:
@@ -157,9 +142,9 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
     A worker's payoff and learning step depend only on whether it cheated,
     the audit flag and which camp won, so each branch (cheat pattern,
     audited, honest_win) is settled once per roster; the table is rebuilt at
-    a role change.  Camp sums are kept per cheat pattern until an audit
-    moves the reputations.  Per round are left `_draw_branch`, `_audit` and
-    p_c.
+    a role change.  The vote weights are read when the reputations change,
+    and camp sums are kept per cheat pattern until an audit moves them.
+    Per round are left `_draw_branch`, `_audit` and p_c.
     """
     config.validate()
     draw = random.Random(seed).random
@@ -167,17 +152,18 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
     state = config.initial_state()
     p_a, aud, p_c, v, beta = state.p_a, state.aud, state.p_c, state.v, state.beta
     reputations = rep.values(scheme, v, aud, beta)
+    weights = reread_underflow(scheme, v, beta, reputations)
     change_rounds = {rc.round for rc in config.role_changes}
     table, votes, trace = {}, {}, []
     for r in range(config.horizon):
         if r in change_rounds:
-            config, state = apply_role_changes(config, ExactState(p_a, aud, p_c, v, beta), r)
-            p_c, table = state.p_c, {}
+            config, p_c = apply_role_changes(config, p_c, r)
+            table = {}
         (cheaters, _, cheat, branches), audited, tie, honest_win = _draw_branch(
-            draw, scheme, p_a, p_c, v, beta, reputations, table, votes)
+            draw, p_a, p_c, weights, table, votes)
         if audited:
-            p_a, aud, v, beta, reputations = _audit(config, p_a, aud, v, beta,
-                                                    cheaters, cheat)
+            p_a, aud, v, beta, reputations, weights = _audit(config, p_a, aud, v, beta,
+                                                             cheaters, cheat)
             votes = {}
         settled = branches.get((audited, honest_win))
         if settled is None:

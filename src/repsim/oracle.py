@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import engine, reputation as rep
-from .engine import Branch
 from .model import GRID_DECIMALS, ExactState, SystemConfig
 
 PROB_TOL = 1e-12
@@ -41,6 +40,15 @@ class OracleBoundError(RuntimeError):
         self.lower_bound = lower_bound
         self.upper_bound = upper_bound
         self.rounds = rounds
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One stochastic outcome of a round: who cheated, audit and tie result."""
+
+    cheaters: frozenset
+    audited: bool
+    tie_outcome: bool | None = None   # honest camp won the coin flip
 
 
 @dataclass
@@ -235,27 +243,22 @@ def find_escape(config: SystemConfig, seeds, predicate, project=None):
     return None
 
 
-def check_closed(config: SystemConfig, seeds, predicate, project=None) -> bool:
-    """True iff no enumerated in-set state has a successor outside the set."""
-    return find_escape(config, seeds, predicate, project) is None
-
-
 def sample_round_keys(config: SystemConfig, state: ExactState, samples: int,
                       seed: int = 0) -> dict:
     """Engine one-round outcomes from `state`, counted by Branch.
 
     Every sample is one `engine._draw_branch` from `state`, the step each
     round of `engine.run_simulation` draws; the state never moves, so its
-    reputations and camp weights are computed once and nothing is settled.
+    vote weights and camp sums are computed once and nothing is settled.
     """
     state = state.canonical()
     draw = random.Random(seed).random
     reputations = rep.values(config.scheme, state.v, state.aud, state.beta)
+    weights = engine.reread_underflow(config.scheme, state.v, state.beta, reputations)
     camps, votes, counts = {}, {}, {}
     for _ in range(samples):
         entry, audited, tie, honest_win = engine._draw_branch(
-            draw, config.scheme, state.p_a, state.p_c, state.v, state.beta,
-            reputations, camps, votes)
+            draw, state.p_a, state.p_c, weights, camps, votes)
         key = (entry[0], audited, honest_win if tie else None)
         counts[key] = counts.get(key, 0) + 1
     return {Branch(*key): count for key, count in counts.items()}

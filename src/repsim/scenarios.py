@@ -122,7 +122,7 @@ def all_cheat_trap():
 def trap_is_closed() -> bool:
     """Whether no transition leaves the all-cheat trap."""
     config, trap, trapped = all_cheat_trap()
-    return oracle.check_closed(config, [trap], trapped)
+    return oracle.find_escape(config, [trap], trapped) is None
 
 
 def trap_reach_probability(horizon: int = 200):

@@ -5,8 +5,8 @@ import io
 import pytest
 
 from repsim import cli, engine, reputation as rep
-from repsim.engine import Branch
 from repsim.model import ExactState, RoundOutcome, SystemConfig, WorkerSpec, WorkerType
+from repsim.oracle import Branch
 from repsim.reputation import scheme_from_name
 
 
@@ -40,15 +40,16 @@ def three_workers():
 # straight-line round, which applies the engine's rule functions once each.
 
 def weighted_majority(scheme, state: ExactState, cheaters: frozenset, reps=None):
-    """Aggregate reputations of the two camps (`reps`: those of `state`, if known).
+    """Aggregate vote weights of the two camps (`reps`: the reputations of
+    `state`, if known), each camp added in index order.
 
     Returns (rho_honest, rho_cheat, tie).  All cheaters return one identical
     wrong value, so the vote is camp-against-camp.
     """
     reps = reps or rep.values(scheme, state.v, state.aud, state.beta)
-    honest = [i for i in range(len(reps)) if i not in cheaters]
-    rho_honest, rho_cheat = engine._camp_weights(scheme, state.v, state.beta, reps,
-                                                 (honest, sorted(cheaters)))
+    weights = engine.reread_underflow(scheme, state.v, state.beta, reps)
+    rho_honest = sum(w for i, w in enumerate(weights) if i not in cheaters)
+    rho_cheat = sum(w for i, w in enumerate(weights) if i in cheaters)
     return rho_honest, rho_cheat, rho_honest == rho_cheat
 
 
@@ -62,7 +63,7 @@ def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset
     outcome.round left at -1.
     """
     if audited:
-        p_a, aud, v, beta, reputations = engine._audit(
+        p_a, aud, v, beta, reputations, _ = engine._audit(
             config, state.p_a, state.aud, state.v, state.beta, cheaters, sorted(cheaters))
         honest_win, branch = True, Branch(cheaters, True)
     else:

@@ -26,6 +26,13 @@ def test_list_scenarios(capsys):
     assert "rational9-type2-pc1" in out
 
 
+def test_command_looked_up_after_parser_built(monkeypatch):
+    # the parser is cached; the command it runs must still be read at call time
+    run_cli("list-scenarios")
+    monkeypatch.setattr(cli, "cmd_run", lambda args: 7)
+    assert run_cli("run", "--scenario", "x") == 7
+
+
 def test_run_requires_one_source(tmp_path):
     assert run_cli("run", "--out", str(tmp_path)) == 2
     assert run_cli("run", "--scenario", "x", "--config", "y") == 2

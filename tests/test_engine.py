@@ -129,9 +129,9 @@ class TestUnderflowedVote:
 def draw_branch(cfg, rng):
     """The engine's draw step, once from the config's start state."""
     s = cfg.initial_state()
-    reps = rep.values(cfg.scheme, s.v, s.aud, s.beta)
-    return engine._draw_branch(rng.random, cfg.scheme, s.p_a, s.p_c, s.v, s.beta,
-                               reps, {}, {})
+    weights = engine.reread_underflow(cfg.scheme, s.v, s.beta,
+                                      rep.values(cfg.scheme, s.v, s.aud, s.beta))
+    return engine._draw_branch(rng.random, s.p_a, s.p_c, weights, {}, {})
 
 
 class TestRoundRng:
@@ -164,16 +164,17 @@ class TestRoundRng:
 
 
 def test_role_change_keeps_audit_record():
+    # a role change sees only the roster and p_c, so it cannot touch the
+    # audit record; the whole-run tests below rebuild that record across one
     cfg = make_config(n=2, scheme="type2", p_c0=0.3)
     cfg.role_changes = [RoleChange(round=0, worker=0,
                                    new_type=WorkerType.MALICIOUS)]
-    state = replace(cfg.initial_state(), aud=4, v=(4, 2))
-    new_cfg, new_state = engine.apply_role_changes(cfg, state, 0)
+    p_c = cfg.initial_state().p_c
+    new_cfg, new_p_c = engine.apply_role_changes(cfg, p_c, 0)
     assert new_cfg.workers[0].wtype is WorkerType.MALICIOUS
     assert cfg.workers[0].wtype is WorkerType.RATIONAL
-    assert new_state.p_c == (1.0, 0.3)
-    assert new_state.v == (4, 2) and new_state.aud == 4
-    assert engine.apply_role_changes(cfg, state, 1) == (cfg, state)
+    assert new_p_c == (1.0, 0.3)
+    assert engine.apply_role_changes(cfg, p_c, 1) == (cfg, p_c)
 
 
 def test_run_simulation_deterministic():
@@ -251,7 +252,8 @@ def stepped_trace(cfg, seed):
     over between rounds, roles checked every round."""
     rng, state, trace = random.Random(seed), cfg.initial_state(), []
     for r in range(cfg.horizon):
-        cfg, state = engine.apply_role_changes(cfg, state, r)
+        cfg, p_c = engine.apply_role_changes(cfg, state.p_c, r)
+        state = replace(state, p_c=p_c)
         state, _, outcome = run_round(cfg, state, rng)
         outcome.round = r
         trace.append(outcome)
@@ -291,6 +293,21 @@ def test_kernel_invariants_underflowed_type2():
                        scheme=rep.Type2(), horizon=1200, seeds=(1,)).validate()
     trace = engine.run_simulation(cfg, seed=1)
     assert trace[-1].reputations_after == (0.0, 0.0, 0.0)
+    assert_kernel_invariants(cfg, trace)
+    assert_same_trace(trace, stepped_trace(cfg, 1))
+
+    # three rational workers that never learn, audited at p_a 0.8: both camps
+    # vote after the underflow, which a 0.0-vs-0.0 reading would call a tie
+    cfg = SystemConfig(workers=[WorkerSpec(WorkerType.RATIONAL, 0.9)] * 3,
+                       scheme=rep.Type2(), alpha_w=0.0, tau=1.0, p_a0=0.8,
+                       p_a_min=0.8, horizon=2000, seeds=(1,)).validate()
+    trace = engine.run_simulation(cfg, seed=1)
+    assert any(trace[1506].reputations_after)
+    assert not any(r for o in trace[1507:] for r in o.reputations_after)
+    split = [o for o in trace[1507:] if not o.audited and 0 < len(o.cheater_set) < 3]
+    assert len(split) == 37
+    assert not any(o.tie_broken for o in split)
+    assert sum(o.accepted_correct for o in split) == 12
     assert_kernel_invariants(cfg, trace)
     assert_same_trace(trace, stepped_trace(cfg, 1))
 

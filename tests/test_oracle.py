@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repsim import oracle, reputation as rep, scenarios
-from repsim.engine import Branch
+from repsim.oracle import Branch
 from repsim.model import FIXED_PC, ExactState, SystemConfig, WorkerSpec, WorkerType
 from conftest import make_config, round_successor, run_round
 
@@ -284,8 +284,8 @@ class TestClosedSets:
     def test_all_cheat_closed_without_audits(self):
         cfg = make_config(n=2, scheme="none", p_c0=1.0, p_a0=0.0, p_a_min=0.0)
         state = exact_state(cfg)
-        assert oracle.check_closed(cfg, [state],
-                                   lambda s: all(p == 1.0 for p in s.p_c))
+        assert oracle.find_escape(cfg, [state],
+                                  lambda s: all(p == 1.0 for p in s.p_c)) is None
 
     def test_escape_reported(self):
         # auditing punishes the cheaters, so the all-cheat set leaks
