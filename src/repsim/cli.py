@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle, reputation as rep, scenarios
-from .model import SETTINGS, ConfigError, SystemConfig, parse_seeds
+from .model import SETTINGS, ConfigError, SystemConfig, located, parse_seeds
 
 FMT = "%.10g"
 
@@ -82,41 +82,36 @@ def write_summary(path: Path, summary, n: int):
     _write_rows(path, header, [rounds, _texts(floats)])
 
 
-#: Config key (of `model.SETTINGS`, or a worker's) -> the run flag setting it.
+#: Config key (of `model.SETTINGS`, or a worker's) -> the run flag setting it;
+#: `build_parser` declares each flag once, typed by its key's `SETTINGS` entry.
 FLAGS = {"horizon": "horizon", "p_a": "pa0", "p_a_min": "pamin", "tau": "tau",
          "alpha_m": "alpha", "alpha_w": "alpha", "wpc": "wpc", "wct": "wct",
          "wby": "wby", "aspiration": "aspiration"}
 
 
 def _apply_overrides(config: SystemConfig, args) -> SystemConfig:
-    """The config with the flags applied.  A ConfigError on a key a flag set,
-    or on a setting bounded by one (p_a by p_a_min), names that flag."""
-    if args.seeds is not None:
-        config.seeds = parse_seeds(args.seeds, "--seeds")
-    if args.scheme is not None or args.epsilon is not None:
-        name = args.scheme or config.scheme.name
-        # a scheme named again keeps its parameters; --epsilon overrides
-        params = asdict(config.scheme) if name == config.scheme.name else {}
-        if args.epsilon is not None:
-            params["epsilon"] = args.epsilon
-        try:
-            config.scheme = rep.scheme_from_name(name, **params)
-        except ValueError as exc:   # kept or default parameters are valid
-            raise ConfigError(f"--epsilon: {exc}", "epsilon") from None
-    given = {k: getattr(args, f) for k, f in FLAGS.items() if getattr(args, f) is not None}
+    """The config with the flags applied.  A ConfigError names the flag that
+    set its key, or else the flag that set its bound (`model.located`)."""
+    flags = {"seeds": "seeds", "scheme": "scheme", "epsilon": "epsilon", **FLAGS}
+    given = {k: getattr(args, f) for k, f in flags.items() if getattr(args, f) is not None}
     try:
+        if args.seeds is not None:
+            config.seeds = parse_seeds(args.seeds, "--seeds")
+        if args.scheme is not None or args.epsilon is not None:
+            name = args.scheme or config.scheme.name
+            # a scheme named again keeps its parameters; --epsilon overrides
+            params = asdict(config.scheme) if name == config.scheme.name else {}
+            if args.epsilon is not None:
+                params["epsilon"] = args.epsilon
+            config.scheme = rep.scheme_from_name(name, **params)
         for key, value in given.items():
             if key in SETTINGS:
                 setattr(config, SETTINGS[key][0], value)
-            else:
+            elif key in FLAGS:   # a worker's key
                 config.workers = [replace(w, **{key: value}) for w in config.workers]
         return config.validate()
     except ConfigError as exc:
-        bound = SETTINGS[exc.key][2] if exc.key in SETTINGS else None
-        flag = next((FLAGS[k] for k in (exc.key, bound) if k in given), None)
-        if flag is None:
-            raise
-        raise ConfigError(f"--{flag}: {exc}", exc.key) from None
+        raise located(exc, {k: f"--{flags[k]}" for k in given}) from None
 
 
 def cmd_run(args) -> int:
@@ -275,17 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario")
     run.add_argument("--config")
     run.add_argument("--seeds", help="space/comma separated seed list")
-    run.add_argument("--horizon", type=int)
     run.add_argument("--scheme", choices=rep.SCHEME_NAMES)
     run.add_argument("--epsilon", type=float)
-    run.add_argument("--tau", type=float)
-    run.add_argument("--wpc", type=float)
-    run.add_argument("--wby", type=float)
-    run.add_argument("--wct", type=float)
-    run.add_argument("--alpha", type=float, help="sets both learning rates")
-    run.add_argument("--aspiration", type=float)
-    run.add_argument("--pa0", type=float)
-    run.add_argument("--pamin", type=float)
+    for flag in dict.fromkeys(FLAGS.values()):
+        keys = [k for k, f in FLAGS.items() if f == flag]
+        kind = SETTINGS[keys[0]][1] if keys[0] in SETTINGS else float
+        run.add_argument(f"--{flag}", type=kind, help="sets " + " and ".join(keys))
     run.add_argument("--out", default="out")
 
     verify = sub.add_parser("verify", help="check properties and lemma instances")

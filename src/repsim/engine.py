@@ -82,7 +82,7 @@ def master_update(config: SystemConfig, p_a: float, rho_cheat: float,
 def learning_step(spec, payoff: float, cheated: bool, alpha_w: float) -> float:
     """How far a round lowers a worker's cheat probability, before the clamp:
     aspiration-based for rational workers, 0 for the others."""
-    if spec.wtype is not WorkerType.RATIONAL:
+    if spec.wtype is not WorkerType.RATIONAL or alpha_w == 0.0:
         return 0.0
     return alpha_w * (payoff - spec.aspiration) * (-1.0 if cheated else 1.0)
 

@@ -12,14 +12,7 @@ from enum import Enum
 from typing import Sequence
 
 from . import reputation as rep
-
-
-class ConfigError(ValueError):
-    """An invalid SystemConfig or config file; `key` names what it rejects."""
-
-    def __init__(self, message: str, key=None):
-        super().__init__(message)
-        self.key = key
+from .reputation import ConfigError
 
 
 class WorkerType(Enum):
@@ -34,6 +27,9 @@ GRID_DECIMALS = 12
 
 #: Cheat probability forced by a predefined behavior; rational workers float.
 FIXED_PC = {WorkerType.ALTRUISTIC: 0.0, WorkerType.MALICIOUS: 1.0}
+
+#: Most workers a roster may hold: about 1,000x the catalog's nine.
+MAX_ROSTER = 10_000
 
 
 def clamp(x: float, lo: float, hi: float) -> float:
@@ -182,6 +178,9 @@ class SystemConfig:
         rejects (("role_change", k) for the k-th role change)."""
         if not self.workers:
             raise ConfigError("at least one worker is required", "worker")
+        if self.n > MAX_ROSTER:
+            raise ConfigError(f"at most {MAX_ROSTER} workers are allowed, got {self.n}",
+                              "worker")
         if not self.seeds:
             raise ConfigError("at least one seed is required", "seeds")
         if len(set(self.seeds)) != len(self.seeds):
@@ -228,8 +227,8 @@ class SystemConfig:
     @classmethod
     def from_text(cls, text: str) -> "SystemConfig":
         """Parse the key/value config format (see README for the schema).
-        Every ConfigError names the line of the key it rejects."""
-        raw, lines, workers, role_changes = {}, {}, [], []   # raw: key -> value
+        Every ConfigError names the line of the key it rejects (`located`)."""
+        raw, where, workers, role_changes = {}, {}, [], []   # where: key -> "line N"
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -239,44 +238,45 @@ class SystemConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "worker":
                 workers.extend(_parse_worker(value, lineno))
+                where[key] = f"line {lineno}"   # the roster bound names the last one
             elif key == "role_change":
-                lines["role_change", len(role_changes)] = lineno
+                where[key, len(role_changes)] = f"line {lineno}"
                 role_changes.append(_parse_role_change(value, lineno))
             elif key in raw:
-                raise ConfigError(f"line {lineno}: {key!r} is already set "
-                                  f"on line {lines[key]}")
+                raise ConfigError(f"line {lineno}: {key!r} is already set on {where[key]}")
             else:
-                raw[key], lines[key] = value, lineno
-        lineno = lines.get("scheme", 0)
-        try:   # each scheme parameter is checked on its own line
+                raw[key], where[key] = value, f"line {lineno}"
+        try:
             scheme = rep.scheme_class(raw.pop("scheme", "type2"))()
             for key in [k for k in raw if k in rep.PARAM_KEYS]:
-                lineno, attr = lines[key], rep.scheme_params(scheme).get(key)
+                attr = rep.scheme_params(scheme).get(key)
                 if attr is None:
-                    raise ConfigError(f"scheme {scheme.name} takes no {key!r}")
-                scheme = replace(scheme, **{attr: _parse_number(float, raw.pop(key), key)})
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-        cfg = cls(scheme=scheme, role_changes=role_changes)
-        if workers:
-            cfg.workers = workers
-        for key, value in raw.items():
-            where = f"line {lines[key]}: {key}"
-            if key == "seeds":
-                cfg.seeds = parse_seeds(value, where)
-            elif key in SETTINGS:
-                setattr(cfg, SETTINGS[key][0], _parse_number(SETTINGS[key][1], value, where))
-            else:
-                raise ConfigError(f"line {lines[key]}: unknown config key {key!r}")
-        for key, (_, _, lo, _) in SETTINGS.items():
-            if isinstance(lo, str):   # a default rejected through the bound `lo`
-                lines.setdefault(key, lines.get(lo))
-        try:
+                    raise ConfigError(f"scheme {scheme.name} takes no {key!r}", key)
+                number = _parse_number(float, raw.pop(key), f"{where[key]}: {key}")
+                scheme = replace(scheme, **{attr: number})
+            cfg = cls(scheme=scheme, role_changes=role_changes)
+            if workers:
+                cfg.workers = workers
+            for key, value in raw.items():
+                if key == "seeds":
+                    cfg.seeds = parse_seeds(value, f"{where[key]}: {key}")
+                elif key in SETTINGS:
+                    attr, kind, _, _ = SETTINGS[key]
+                    setattr(cfg, attr, _parse_number(kind, value, f"{where[key]}: {key}"))
+                else:
+                    raise ConfigError(f"unknown config key {key!r}", key)
             return cfg.validate()
         except ConfigError as exc:
-            if lines.get(exc.key) is None:
-                raise
-            raise ConfigError(f"line {lines[exc.key]}: {exc}", exc.key) from None
+            raise located(exc, where) from None
+
+
+def located(exc: ConfigError, where: dict) -> ConfigError:
+    """`exc` prefixed with the source `where` (config key -> "line 3" or "--pa0")
+    gives for its key, or else for the setting bounding it (p_a_min bounds
+    p_a); `exc` itself when `where` has neither."""
+    bound = SETTINGS[exc.key][2] if exc.key in SETTINGS else None
+    source = where.get(exc.key, where.get(bound))
+    return exc if source is None else ConfigError(f"{source}: {exc}", exc.key)
 
 
 def _num(x: float) -> str:
@@ -294,6 +294,9 @@ def _parse_worker(value: str, lineno: int) -> list:
         count = int(toks.pop()[1:])
         if count < 1:
             raise ConfigError(f"line {lineno}: worker repeat count must be at least 1")
+        if count > MAX_ROSTER:
+            raise ConfigError(f"line {lineno}: at most {MAX_ROSTER} workers are allowed, "
+                              f"got {count}")
     try:
         wtype = WorkerType(toks[0])
     except ValueError:
@@ -333,13 +336,8 @@ def _parse_number(kind, text: str, where: str):
 
 
 def parse_seeds(text: str, where: str) -> tuple:
-    """Distinct integer seeds from a space- or comma-separated list."""
-    seeds = tuple(_parse_number(int, tok, where) for tok in text.replace(",", " ").split())
-    if not seeds:
-        raise ConfigError(f"{where}: needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"{where}: seed {_repeated(seeds)} is repeated")
-    return seeds
+    """The integer seeds of a space- or comma-separated list; `validate` checks them."""
+    return tuple(_parse_number(int, tok, where) for tok in text.replace(",", " ").split())
 
 
 def _repeated(seeds) -> int:

@@ -22,6 +22,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+class ConfigError(ValueError):
+    """An invalid setting; `key` names the config key it rejects."""
+
+    def __init__(self, message: str, key=None):
+        super().__init__(message)
+        self.key = key
+
+
 class Scheme:
     """What every scheme shares: no error rate, and audits leave it alone.
 
@@ -29,7 +37,7 @@ class Scheme:
     their defaults), whose class attribute `name` is its config name, and
     whose `formula` gives the reputation once at least one audit happened.
     A field's `key` metadata names it in config files when that differs
-    from the field name.
+    from the field name; a bad parameter raises a ConfigError keyed by it.
     """
 
     beta_init = 0.0
@@ -59,8 +67,8 @@ class Type2(Scheme):
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("type 2 epsilon must lie strictly inside (0, 1), "
-                             f"got {self.epsilon!r}")
+            raise ConfigError("type 2 epsilon must lie strictly inside (0, 1), "
+                              f"got {self.epsilon!r}", "epsilon")
 
     def formula(self, v: int, aud: int, beta: float) -> float:
         return self.epsilon ** (aud - v)
@@ -78,9 +86,9 @@ class Type3(Scheme):
         for key, attr in scheme_params(self).items():
             x = getattr(self, attr)
             if not math.isfinite(x) or x < 0.0:   # `x < 0.0` alone lets NaN through
-                raise ValueError(f"type 3 {key} must be a finite number >= 0, got {x!r}")
+                raise ConfigError(f"type 3 {key} must be a finite number >= 0, got {x!r}", key)
         if self.error_bound == 0.0:
-            raise ValueError("type 3 error_bound must be positive")
+            raise ConfigError("type 3 error_bound must be positive", "error_bound")
 
     def formula(self, v: int, aud: int, beta: float) -> float:
         if beta > self.error_bound:
@@ -121,7 +129,8 @@ PARAM_KEYS = frozenset(key for cls in _CLASSES.values() for key in scheme_params
 def scheme_class(name: str):
     cls = _CLASSES.get(name.strip().lower())
     if cls is None:
-        raise ValueError(f"unknown reputation scheme {name!r}; choose from {SCHEME_NAMES}")
+        raise ConfigError(f"unknown reputation scheme {name!r}; choose from {SCHEME_NAMES}",
+                          "scheme")
     return cls
 
 
@@ -130,7 +139,7 @@ def scheme_from_name(name: str, **params):
     cls = scheme_class(name)
     extra = sorted(set(params) - {f.name for f in fields(cls)})
     if extra:
-        raise ValueError(f"scheme {cls.name} takes no parameter {extra[0]!r}")
+        raise ConfigError(f"scheme {cls.name} takes no parameter {extra[0]!r}", extra[0])
     return cls(**params)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repsim import cli, metrics, scenarios
-from repsim.model import RoundOutcome, SystemConfig, WorkerSpec, WorkerType
+from repsim.model import MAX_ROSTER, RoundOutcome, SystemConfig, WorkerSpec, WorkerType
 from repsim.reputation import scheme_from_name
 from conftest import verify_stdout
 
@@ -121,7 +121,8 @@ def test_bad_config_is_reported_not_raised(tmp_path, capsys):
 @pytest.mark.parametrize("seeds,message", [
     ("1 1", "--seeds: seed 1 is repeated"),
     ("1 x", "--seeds: expected an integer, got 'x'"),
-], ids=["repeated", "malformed"])
+    ("", "--seeds: at least one seed is required"),
+], ids=["repeated", "malformed", "empty"])
 def test_bad_seeds_named_by_flag(tmp_path, capsys, seeds, message):
     assert run_cli("run", "--scenario", "rational9-type2-pc1", "--horizon", "30",
                    "--seeds", seeds, "--out", str(tmp_path / "out")) == 1
@@ -187,9 +188,12 @@ def test_non_finite_rejected_before_run(tmp_path, capsys, source, key):
     ("seeds = 1\np_a_min = 0.6\n", 2, "p_a"),
     ("p_a_min = 2\np_a = 0.5\n", 1, "p_a_min"),
     ("scheme = type3\nbeta_decay = -1\nerror_bound = 0.1\n", 2, "beta_decay"),
+    (f"seeds = 1\nworker = rational x{MAX_ROSTER + 1}\n", 2, "worker"),
+    (f"worker = rational x{MAX_ROSTER // 2 + 1}\nworker = malicious x{MAX_ROSTER // 2}\n"
+     "seeds = 1\n", 2, "worker"),
 ], ids=["tau", "nan-alpha-m", "horizon", "worker-p-c0", "role-change-worker",
         "p-a-below-floor", "floor-above-default-p-a", "floor-above-1",
-        "scheme-parameter"])
+        "scheme-parameter", "repeat-count-above-roster-bound", "roster-above-bound"])
 def test_config_rejection_names_line_and_key(tmp_path, capsys, text, line, key):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(text)

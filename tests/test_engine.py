@@ -61,6 +61,13 @@ class TestLearningDeltas:
         assert state.p_c[0] == 1.0
         assert state.p_c[1] == 0.0
 
+    def test_zero_worker_rate_never_learns(self):
+        # payoff - aspiration overflows to inf here; 0 * inf must not move p_c
+        cfg = SystemConfig(workers=[WorkerSpec(WorkerType.RATIONAL, 0.5, -1e308, 1e308)] * 3,
+                           alpha_w=0.0, horizon=3, seeds=(1,)).validate()
+        trace = engine.run_simulation(cfg, seed=1)
+        assert [o.p_c_after for o in trace] == [(0.5, 0.5, 0.5)] * 3
+
 
 class TestMasterUpdate:
     def test_reinforcement(self):

@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repsim.model import (SETTINGS, ConfigError, ExactState, RoleChange, SystemConfig,
-                          WorkerSpec, WorkerType, clamp, compute_payoffs)
+from repsim.model import (MAX_ROSTER, SETTINGS, ConfigError, ExactState, RoleChange,
+                          SystemConfig, WorkerSpec, WorkerType, clamp, compute_payoffs)
 from repsim import reputation as rep
 
 
@@ -230,6 +230,12 @@ class TestConfigText:
     def test_repeated_seeds_rejected_in_code(self):
         with pytest.raises(ConfigError, match="seed 1 is repeated"):
             SystemConfig(seeds=(1, 2, 1)).validate()
+
+    def test_roster_bound_rejected_in_code(self):
+        with pytest.raises(ConfigError, match=f"^at most {MAX_ROSTER} workers") as exc:
+            SystemConfig(workers=[WorkerSpec()] * (MAX_ROSTER + 1)).validate()
+        assert exc.value.key == "worker"
+        SystemConfig(workers=[WorkerSpec()] * MAX_ROSTER).validate()
 
     def test_readme_block_names_every_key(self):
         # the README's example config parses, sets every master setting and

@@ -4,7 +4,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from repsim import reputation as rep
+import repsim
+from repsim import model, reputation as rep
 
 TOL = 1e-12
 
@@ -12,20 +13,30 @@ TOL = 1e-12
 def test_scheme_name_round_trip():
     for name in rep.SCHEME_NAMES:
         assert rep.scheme_from_name(name).name == name
-    with pytest.raises(ValueError):
+    with pytest.raises(rep.ConfigError) as exc:
         rep.scheme_from_name("type9")
+    assert exc.value.key == "scheme"
     assert rep.scheme_from_name("type3", decay=0.9) == rep.Type3(decay=0.9)
-    with pytest.raises(ValueError, match="epsilon"):
+    with pytest.raises(rep.ConfigError, match="epsilon") as exc:
         rep.scheme_from_name("type1", epsilon=0.3)
+    assert exc.value.key == "epsilon"
 
 
 def test_validate_scheme_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(rep.ConfigError) as exc:
         rep.Type2(epsilon=1.0)
-    with pytest.raises(ValueError):
+    assert exc.value.key == "epsilon"
+    with pytest.raises(rep.ConfigError) as exc:
         rep.Type3(error_bound=0.0)
-    with pytest.raises(ValueError):
+    assert exc.value.key == "error_bound"
+    with pytest.raises(rep.ConfigError) as exc:
         rep.scheme_from_name("type3", beta_init=-0.1)
+    assert exc.value.key == "beta_init"
+
+
+def test_one_config_error_class():
+    assert repsim.ConfigError is model.ConfigError is rep.ConfigError
+    assert issubclass(rep.ConfigError, ValueError)
 
 
 class TestValue:
