@@ -4,8 +4,9 @@
 flag, vote) from the vote weights, which `reread_underflow` reads off the
 reputations each time they change: at the start of a run and in `_audit`.
 `run_simulation` steps the chain from it, settling each branch once per
-roster; the oracle's sampler counts its branches from one fixed state.  The
-chain state is `model.ExactState`; the knobs are read from the config.
+roster and updating p_c only when it differs from the branch's last input;
+the oracle's sampler counts its branches from one fixed state.  The chain
+state is `model.ExactState`; the knobs are read from the config.
 """
 from __future__ import annotations
 
@@ -142,9 +143,15 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
     A worker's payoff and learning step depend only on whether it cheated,
     the audit flag and which camp won, so each branch (cheat pattern,
     audited, honest_win) is settled once per roster; the table is rebuilt at
-    a role change.  The vote weights are read when the reputations change,
-    and camp sums are kept per cheat pattern until an audit moves them.
-    Per round are left `_draw_branch`, `_audit` and p_c.
+    a role change.  A settled branch keeps its last `worker_update` input
+    and output, and a round whose p_c equals that input takes that output,
+    not the input: `clamp` maps -0.0 and 0.0 alike to 0.0, and no p_c is
+    NaN.  The vote weights are read when the reputations change, and camp
+    sums are kept per cheat pattern until an audit changes a weight; an
+    audit that leaves them equal keeps the old tuple and its sums.  No
+    reputation is -0.0 and a NaN never equals itself, so equal weights are
+    the same floats, added in the same order.
+    Per round are left `_draw_branch`, `_audit` and p_c off a fixed point.
     """
     config.validate()
     draw = random.Random(seed).random
@@ -162,15 +169,18 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
         (cheaters, _, cheat, branches), audited, tie, honest_win = _draw_branch(
             draw, p_a, p_c, weights, table, votes)
         if audited:
-            p_a, aud, v, beta, reputations, weights = _audit(config, p_a, aud, v, beta,
-                                                             cheaters, cheat)
-            votes = {}
+            p_a, aud, v, beta, reputations, new = _audit(config, p_a, aud, v, beta,
+                                                         cheaters, cheat)
+            if new != weights:
+                weights, votes = new, {}
         settled = branches.get((audited, honest_win))
         if settled is None:
-            settled = branches[audited, honest_win] = settle(config, cheaters, audited,
-                                                             honest_win)
-        majority, payoffs, steps = settled
-        p_c = worker_update(p_c, steps)
+            settled = branches[audited, honest_win] = [
+                *settle(config, cheaters, audited, honest_win), None, None]
+        majority, payoffs, steps, last_in, _ = settled
+        if p_c != last_in:
+            settled[3:] = p_c, worker_update(p_c, steps)
+        p_c = settled[4]
         trace.append(RoundOutcome(r, cheaters, audited, majority, tie, honest_win,
                                   payoffs, reputations, p_a, p_c))
     return trace

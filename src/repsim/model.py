@@ -95,9 +95,11 @@ class RoleChange:
     new_type: WorkerType
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundOutcome:
-    """Record of one executed round."""
+    """Record of one executed round.  A trace holds one per round, so it has
+    slots; rounds of one settled branch share its sets and payoffs, and
+    rounds at a fixed point of the learning rule share one p_c tuple."""
 
     round: int
     cheater_set: frozenset

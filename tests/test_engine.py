@@ -281,6 +281,12 @@ def assert_same_trace(trace, reference):
 # from the first audit on
 @example(cfg=SystemConfig(workers=[WorkerSpec(WorkerType.ALTRUISTIC)] * 3, scheme=SCHEMES[-1],
                           horizon=50, seeds=(1,)), seed=1)
+# two rational workers that never learn, starting at -0.0: their first
+# update prints 0, so a round at the fixed point must not hand on the input
+@example(cfg=SystemConfig(workers=[WorkerSpec(WorkerType.RATIONAL, -0.0)] * 2
+                          + [WorkerSpec(WorkerType.MALICIOUS, 1.0)] * 2,
+                          scheme=rep.NoReputation(), alpha_w=0.0, horizon=50, seeds=(1,)),
+         seed=1)
 def test_kernel_invariants(cfg, seed):
     trace = engine.run_simulation(cfg, seed)
     assert len(trace) == cfg.horizon
@@ -326,4 +332,34 @@ def test_kernel_invariants_dynamic500_type2():
     trace = engine.run_simulation(cfg, seed=1)
     assert len(trace) == cfg.horizon
     assert_kernel_invariants(cfg, trace)
+    assert_same_trace(trace, stepped_trace(cfg, 1))
+
+
+def alt4_mal4_none(horizon):
+    """Four altruistic against four malicious workers, no reputation: the
+    camps weigh the same, so every unaudited round ties."""
+    return SystemConfig(workers=[WorkerSpec(WorkerType.ALTRUISTIC, 0.0)] * 4
+                        + [WorkerSpec(WorkerType.MALICIOUS, 1.0)] * 4,
+                        scheme=rep.NoReputation(), horizon=horizon, seeds=(1,)).validate()
+
+
+@pytest.mark.parametrize("cfg", [scenarios.get_scenario("dynamic500-none"), alt4_mal4_none(2000)],
+                         ids=["dynamic500-none", "alt4-mal4-none"])
+def test_kernel_invariants_constant_weights(cfg):
+    # audits that leave every vote weight as it was, and ties between them
+    assert cfg.horizon == 2000
+    trace = engine.run_simulation(cfg, seed=1)
+    assert_kernel_invariants(cfg, trace)
+    assert_same_trace(trace, stepped_trace(cfg, 1))
+
+
+def test_fixed_points_skip_worker_update(monkeypatch):
+    # no worker learns, so each settled branch updates p_c once
+    cfg, calls = alt4_mal4_none(2000), []
+    update = engine.worker_update
+    monkeypatch.setattr(engine, "worker_update", lambda *args: calls.append(args) or update(*args))
+    trace = engine.run_simulation(cfg, seed=1)
+    branches = {(o.cheater_set, o.audited, o.accepted_correct) for o in trace}
+    assert 0 < len(calls) <= len(branches)
+    assert sum(o.tie_broken for o in trace) > 500
     assert_same_trace(trace, stepped_trace(cfg, 1))
