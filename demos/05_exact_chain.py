@@ -22,9 +22,10 @@ print(f"one round from the start state branches {len(dist.successors)} ways"
 # -- the audit floor matters: without it, all-cheat is a trap ---------------
 print(f"with p_a pinned at 0, the all-cheat state is closed: {trap_is_closed()}")
 
-p, exact = trap_reach_probability()
-print(f"starting from p_c = 0.5 everywhere, the trap is reached with "
-      f"probability {'exactly' if exact else 'at least'} {p:.3f} within 200 rounds")
+reach = trap_reach_probability()
+print(f"starting from p_c = 0.5 everywhere, the trap is reached with probability "
+      f"{'exactly' if reach.lower == reach.upper else 'at least'} {reach.lower:.3f}"
+      f" within 200 rounds")
 
 # -- and the engine really samples this distribution ------------------------
 report = compare_engine_distribution(cfg, start, samples=100_000)

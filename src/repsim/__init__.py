@@ -6,7 +6,7 @@ from .reputation import (NoReputation, Type1, Type2, Type3,
                          check_property1, find_property2_counterexample,
                          scheme_from_name)
 from .engine import run_simulation
-from .oracle import (OracleBoundError, TransitionDistribution,
+from .oracle import (OracleBoundError, Reach, TransitionDistribution,
                      compare_engine_distribution, enumerate_transitions,
                      find_escape, reach_probability)
 from .metrics import ScenarioSummary, detect_convergence, reputation_ratio

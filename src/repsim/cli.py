@@ -186,11 +186,11 @@ def _verify_property2(args) -> bool:
 
 def _verify_lemma1(args) -> bool:
     closed = scenarios.trap_is_closed()
-    prob, exact = (scenarios.trap_reach_probability() if args.horizon is None
-                   else scenarios.trap_reach_probability(args.horizon))
+    reach = (scenarios.trap_reach_probability() if args.horizon is None
+             else scenarios.trap_reach_probability(args.horizon))
     return _verdict(f"lemma1: all-cheat set closed={closed}, reach probability "
-                    f"{'exact' if exact else 'lower bound'} {prob:.6g}",
-                    closed and prob > 0.0)
+                    f"{'exact' if reach.lower == reach.upper else 'lower bound'} "
+                    f"{reach.lower:.6g}", closed and reach.lower > 0.0)
 
 
 def _verify_transitions(args) -> bool:

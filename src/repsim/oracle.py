@@ -28,18 +28,21 @@ MAX_STATES = 100_000
 
 
 class OracleBoundError(RuntimeError):
-    """Enumeration exceeded its configured budget.
+    """A query outgrew a hard bound: `MAX_WORKERS` workers, or `find_escape`'s
+    `MAX_STATES` states.  A reach query's budget is not one: it answers."""
 
-    A bounded reachability query carries what it had resolved: the mass
-    already absorbed (`lower_bound`), that plus the mass still on the
-    frontier (`upper_bound`), and the number of rounds it expanded.
-    """
 
-    def __init__(self, message, lower_bound=None, upper_bound=None, rounds=None):
-        super().__init__(message)
-        self.lower_bound = lower_bound
-        self.upper_bound = upper_bound
-        self.rounds = rounds
+@dataclass(frozen=True)
+class Reach:
+    """A reach query's answer: the probability lies in [lower, upper], exact
+    when lower == upper.  `hits[r]` is the mass first absorbed at round r (0:
+    the start state), so len(hits) - 1 rounds were expanded and sum(hits) is
+    `lower` up to rounding.  `states` counts the distinct states enumerated."""
+
+    lower: float
+    upper: float
+    hits: tuple
+    states: int
 
 
 @dataclass(frozen=True)
@@ -177,22 +180,21 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
 
 def reach_probability(config: SystemConfig, start: ExactState,
                       predicate: Callable[[ExactState], bool], horizon: int,
-                      max_states: int = 200_000) -> float:
-    """Exact probability that `predicate` holds at or before `horizon`, for
-    the chain on the `GRID_DECIMALS` grid (see `enumerate_transitions`).
+                      max_states: int = 200_000) -> Reach:
+    """The `Reach` of `predicate` at or before `horizon`, for the chain on the
+    `GRID_DECIMALS` grid (see `enumerate_transitions`).
 
     Breadth-first expansion with state merging; predicate states absorb.
-    If the frontier outgrows `max_states`, raises OracleBoundError carrying
-    the probability mass already absorbed (a valid lower bound), that plus
-    the frontier's mass (an upper bound) and the rounds expanded.
+    The answer is exact (lower == upper) when the horizon ends or the
+    frontier empties.  If the frontier outgrows `max_states`, the query stops
+    there: `lower` is the mass absorbed, `upper` that plus the frontier's.
     """
     start = start.canonical()
     if predicate(start):
-        return 1.0
-    frontier = {start: 1.0}
-    absorbed = 0.0
-    cache = {}
-    for rounds in range(1, horizon + 1):
+        return Reach(1.0, 1.0, (1.0,), 0)
+    frontier, absorbed, hits, cache = {start: 1.0}, 0.0, [0.0], {}
+    for _ in range(horizon):
+        hits.append(0.0)
         nxt: dict = {}
         for state, mass in frontier.items():
             dist = cache.get(state)
@@ -201,18 +203,16 @@ def reach_probability(config: SystemConfig, start: ExactState,
             for prob, _, succ in dist.successors:
                 if predicate(succ):
                     absorbed += mass * prob
+                    hits[-1] += mass * prob
                 else:
                     nxt[succ] = nxt.get(succ, 0.0) + mass * prob
         frontier = nxt
         if len(frontier) > max_states:
             upper = min(1.0, absorbed + sum(frontier.values()))
-            raise OracleBoundError(
-                f"state budget of {max_states} exceeded after {rounds} rounds "
-                f"(bounds so far: {absorbed:.6g} to {upper:.6g})",
-                lower_bound=absorbed, upper_bound=upper, rounds=rounds)
+            return Reach(absorbed, upper, tuple(hits), len(cache))
         if not frontier:
             break
-    return absorbed
+    return Reach(absorbed, absorbed, tuple(hits), len(cache))
 
 
 def find_escape(config: SystemConfig, seeds, predicate, project=None):

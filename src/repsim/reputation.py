@@ -96,7 +96,9 @@ class Type3(Scheme):
         return 1.0 - math.sqrt(beta / self.error_bound)
 
     def beta_update(self, beta: float, truthful: bool) -> float:
-        return beta * self.decay if truthful else beta + self.increment
+        if not truthful:
+            return beta + self.increment
+        return beta * self.decay if self.decay else 0.0   # an inf beta: inf * 0 is NaN
 
     def property2_candidates(self, max_aud: int, beta_depth: int) -> list:
         """One audit count, over the error rates of all-truthful histories of

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repsim import cli, metrics, scenarios
+from repsim import cli, metrics, oracle, scenarios
 from repsim.model import MAX_ROSTER, RoundOutcome, SystemConfig, WorkerSpec, WorkerType
 from repsim.reputation import scheme_from_name
 from conftest import verify_stdout
@@ -261,6 +261,21 @@ VERIFY_STDOUT = {
 @pytest.mark.parametrize("suite", list(VERIFY_STDOUT))
 def test_verify_suites_pass(suite):
     assert verify_stdout(suite) == (0, VERIFY_STDOUT[suite])
+
+
+def test_verify_lemma1_exact_within_budget(capsys):
+    # eight rounds never outgrow the 5,000-state budget: the answer is exact
+    assert run_cli("verify", "lemma1", "--horizon", "8") == 0
+    assert capsys.readouterr().out == (
+        "lemma1: all-cheat set closed=True, reach probability exact 0.129541 PASS\n")
+
+
+def test_verify_reports_spent_escape_budget(capsys, monkeypatch):
+    # `find_escape`'s budget is a hard bound: one stderr line, no verdict
+    monkeypatch.setattr(oracle, "MAX_STATES", 1)
+    assert run_cli("verify", "closed-sets") == 1
+    assert capsys.readouterr().err == (
+        "closed-sets: resource bound exceeded: state budget of 1 exceeded\n")
 
 
 @pytest.mark.parametrize("suite,flag,value", [

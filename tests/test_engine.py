@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repsim import engine, oracle, reputation as rep, scenarios
-from repsim.model import ExactState, RoleChange, SystemConfig, WorkerSpec, WorkerType
+from repsim.model import SETTINGS, ExactState, RoleChange, SystemConfig, WorkerSpec, WorkerType
 from conftest import make_config, round_successor, run_round, weighted_majority
 
 TOL = 1e-12
@@ -363,3 +363,38 @@ def test_fixed_points_skip_worker_update(monkeypatch):
     assert 0 < len(calls) <= len(branches)
     assert sum(o.tie_broken for o in trace) > 500
     assert_same_trace(trace, stepped_trace(cfg, 1))
+
+
+#: Values at the bounds of the float settings and the type 3 parameters:
+#: zero, the least subnormal, a default-sized value, one and near the largest.
+BOUNDS = (0.0, 5e-324, 0.05, 1.0, 1e308)
+
+
+@st.composite
+def type3_at_bounds(draw):
+    """Three rational workers at p_c0 0.5 under type 3, every float of
+    `SETTINGS` and every type 3 parameter drawn from `BOUNDS` in its range."""
+    values = {}
+    for key in sorted(SETTINGS, key=lambda k: isinstance(SETTINGS[k][2], str)):
+        attr, kind, lo, hi = SETTINGS[key]
+        lo = values[lo] if isinstance(lo, str) else lo
+        if kind is float:
+            values[attr] = draw(st.sampled_from([b for b in BOUNDS if lo <= b <= hi]))
+    scheme = rep.Type3(**{attr: draw(st.sampled_from(BOUNDS[1:] if attr == "error_bound"
+                                                     else BOUNDS))
+                          for attr in rep.scheme_params(rep.Type3).values()})
+    return SystemConfig(workers=[WorkerSpec()] * 3, scheme=scheme, horizon=40, seeds=(1,),
+                        **values).validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=type3_at_bounds())
+# a caught worker's beta overflows to inf; a truthful audit under decay 0
+# then made it inf * 0, a NaN reputation from round 7 on
+@example(cfg=SystemConfig(workers=[WorkerSpec()] * 3,
+                          scheme=rep.Type3(beta_init=1e308, increment=1e308, decay=0.0),
+                          horizon=40, seeds=(1,)))
+def test_type3_trace_finite_at_bounds(cfg):
+    for o in engine.run_simulation(cfg, seed=1):
+        assert all(map(math.isfinite, (*o.payoffs, *o.reputations_after,
+                                       o.p_a_after, *o.p_c_after))), o

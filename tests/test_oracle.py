@@ -233,8 +233,8 @@ class TestReachProbability:
 
     def test_immediate_hit(self):
         cfg = self.single_worker()
-        assert oracle.reach_probability(cfg, exact_state(cfg),
-                                        lambda s: True, horizon=5) == 1.0
+        reach = oracle.reach_probability(cfg, exact_state(cfg), lambda s: True, horizon=5)
+        assert (reach.lower, reach.upper, reach.hits) == (1.0, 1.0, (1.0,))
 
     def test_hand_computed_mass(self):
         # lone worker, never audited: cheating wins every vote, so
@@ -242,28 +242,46 @@ class TestReachProbability:
         cfg = self.single_worker()
         pred = lambda s: s.p_c[0] > 0.55
         start = exact_state(cfg)
-        assert abs(oracle.reach_probability(cfg, start, pred, 1) - 0.5) < TOL
-        assert abs(oracle.reach_probability(cfg, start, pred, 2) - 0.5) < TOL
+        assert abs(oracle.reach_probability(cfg, start, pred, 1).lower - 0.5) < TOL
+        assert abs(oracle.reach_probability(cfg, start, pred, 2).lower - 0.5) < TOL
         expected3 = 0.5 + 0.5 * 0.42 * 0.51
-        assert abs(oracle.reach_probability(cfg, start, pred, 3) - expected3) < TOL
+        assert abs(oracle.reach_probability(cfg, start, pred, 3).lower - expected3) < TOL
 
     def test_budget_carries_lower_bound(self):
         cfg = make_config(n=3, scheme="type2", p_c0=0.5)
-        with pytest.raises(oracle.OracleBoundError) as exc:
-            oracle.reach_probability(cfg, exact_state(cfg),
-                                     lambda s: all(p == 0.0 for p in s.p_c),
-                                     horizon=50, max_states=50)
-        bound = exc.value
-        assert 0.0 <= bound.lower_bound <= bound.upper_bound <= 1.0
+        cleared = lambda s: all(p == 0.0 for p in s.p_c)
+        bound = oracle.reach_probability(cfg, exact_state(cfg), cleared,
+                                         horizon=50, max_states=50)
+        assert 0.0 <= bound.lower < bound.upper <= 1.0   # the budget ran out
         # the same query without a budget absorbs exactly as much over the
         # rounds the bounded one expanded
-        assert 1 <= bound.rounds < 50
-        assert oracle.reach_probability(cfg, exact_state(cfg),
-                                        lambda s: all(p == 0.0 for p in s.p_c),
-                                        horizon=bound.rounds) == bound.lower_bound
-        assert bound.upper_bound - bound.lower_bound == pytest.approx(
-            frontier_mass(cfg, lambda s: all(p == 0.0 for p in s.p_c), bound.rounds),
-            abs=TOL)
+        rounds = len(bound.hits) - 1
+        assert 1 <= rounds < 50
+        assert oracle.reach_probability(cfg, exact_state(cfg), cleared,
+                                        horizon=rounds).lower == bound.lower
+        assert bound.upper - bound.lower == pytest.approx(
+            frontier_mass(cfg, cleared, rounds), abs=TOL)
+
+    @pytest.mark.parametrize("horizon,max_states,exact", [(3, 200_000, True), (5, 1, False)])
+    def test_record_invariants(self, monkeypatch, horizon, max_states, exact):
+        # the lone worker of test_hand_computed_mass; a one-state budget runs
+        # out in round 2, after round 1 absorbed half the mass
+        cfg, calls = self.single_worker(), []
+        enumerate_transitions = oracle.enumerate_transitions
+        monkeypatch.setattr(oracle, "enumerate_transitions",
+                            lambda *args: calls.append(args) or enumerate_transitions(*args))
+        reach = oracle.reach_probability(cfg, exact_state(cfg), lambda s: s.p_c[0] > 0.55,
+                                         horizon, max_states=max_states)
+        assert reach.lower <= reach.upper and (reach.lower == reach.upper) == exact
+        assert reach.lower > 0.0
+        assert math.fsum(reach.hits) == pytest.approx(reach.lower, abs=TOL)
+        assert reach.states == len(calls)
+
+    def test_default_lemma1_record(self):
+        # the 5,000-state budget runs out at round 10 of 200
+        reach = scenarios.trap_reach_probability()
+        assert (reach.states, len(reach.hits) - 1, reach.upper) == (7321, 10, 1.0)
+        assert f"{reach.lower:.6g}" == "0.255871"
 
 
 def frontier_mass(config, predicate, rounds):
