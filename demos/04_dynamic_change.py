@@ -15,11 +15,10 @@ from repsim import detect_convergence, get_scenario, run_scenario
 for scheme in ("type1", "type2"):
     name = f"dynamic500-{scheme}"
     cfg = get_scenario(name)
-    summary, traces = run_scenario(name)
-    reconv = [detect_convergence(traces[s], cfg.p_a_min, start=500)
-              for s in sorted(traces)]
-    broken = [s for s in sorted(traces)
-              if any(not o.accepted_correct for o in traces[s][500:])]
+    columns = run_scenario(name)[0].columns
+    reconv = [detect_convergence(columns[s], cfg.p_a_min, start=500)
+              for s in sorted(columns)]
+    broken = [s for s in sorted(columns) if not columns[s]["correct"][500:].all()]
     hit = [c for c in reconv if c is not None]
     print(f"{scheme}: disruption actually seen in {len(broken)}/10 seeds; "
           f"re-convergence {len(hit)}/10, mean round {np.mean(hit):.0f}")

@@ -126,8 +126,8 @@ def cmd_run(args) -> int:
             config = SystemConfig.from_text(Path(args.config).read_text())
             name = Path(args.config).stem
         config = _apply_overrides(config, args)
-        summary, traces = scenarios.run_scenario(config)
-    except (OSError, ValueError, KeyError) as exc:
+        summary = scenarios.run_scenario(config)[0]
+    except (OSError, ValueError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)
@@ -141,8 +141,8 @@ def cmd_run(args) -> int:
         print(f"run: {exc}", file=sys.stderr)
         return 1
     conv = [c for c in summary.convergence_rounds if c is not None]
-    print(f"{name}: {len(traces)} seeds, horizon {config.horizon}, "
-          f"converged {len(conv)}/{len(traces)}"
+    print(f"{name}: {len(summary.seeds)} seeds, horizon {config.horizon}, "
+          f"converged {len(conv)}/{len(summary.seeds)}"
           + (f" (median round {sorted(conv)[len(conv) // 2]})" if conv else ""))
     print(f"wrote {out}/trace_seed<k>.csv, {out}/summary.csv, {out}/manifest.txt")
     return 0

@@ -46,21 +46,18 @@ def trace_columns(trace: Sequence, n: int) -> dict:
             "reputation_ratio": reputation_ratio(rho, cheated)}
 
 
-def detect_convergence(trace: Sequence, p_a_min: float, start: int = 0) -> Optional[int]:
-    """Earliest round r >= start opening `WINDOW` correct, cheap rounds in a row.
+def detect_convergence(cols: dict, p_a_min: float, start: int = 0) -> Optional[int]:
+    """Earliest round r >= start opening `WINDOW` correct, cheap rounds in a
+    row of one trace's columns (`trace_columns`).
 
     A round qualifies when the accepted value is correct and the audit
     probability sits within `P_A_SLACK` of its floor.  Returns None when no
     window fits before the end of the trace.
     """
-    ok = [o.accepted_correct and o.p_a_after <= p_a_min + P_A_SLACK for o in trace]
-    best = None
-    run = 0
-    for r in range(len(ok) - 1, start - 1, -1):
-        run = run + 1 if ok[r] else 0
-        if run >= WINDOW:
-            best = r
-    return best
+    bad = ~(cols["correct"][start:] & (cols["p_a"][start:] <= p_a_min + P_A_SLACK))
+    fails = np.concatenate(([0], np.cumsum(bad)))   # fails[j]: failures before start + j
+    opens = np.flatnonzero(fails[WINDOW:] == fails[:-WINDOW])
+    return int(start + opens[0]) if len(opens) else None
 
 
 @dataclass
@@ -92,7 +89,7 @@ def summarize(config, traces: dict) -> ScenarioSummary:
         for key, total in sums.items():
             total += cols[key]
         audits += np.count_nonzero(cols["audited"])
-        conv.append(detect_convergence(traces[seed], config.p_a_min))
+        conv.append(detect_convergence(cols, config.p_a_min))
     mean = {key: total / len(seeds) for key, total in sums.items()}
     return ScenarioSummary(seeds=seeds, p_a=mean["p_a"],
                            audit_rate=mean["audited"], correct_rate=mean["correct"],

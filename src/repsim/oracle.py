@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import engine, reputation as rep
-from .model import GRID_DECIMALS, ExactState, SystemConfig
+from .model import GRID_DECIMALS, ConfigError, ExactState, SystemConfig
 
 PROB_TOL = 1e-12
 MAX_WORKERS = 10
@@ -99,11 +99,11 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
     """Exact one-step distribution from `state`.
 
     Ties in the unaudited weighted majority split into two half-probability
-    branches.  Raises OracleBoundError past MAX_WORKERS workers,
-    RuntimeError if the masses miss 1 by over PROB_TOL.  Exact for the chain
-    on the `GRID_DECIMALS` (12-decimal) grid, not for the float chain
-    `repsim run` steps: a p_c one or two ulps below 1 counts as trapped here
-    one round earlier.
+    branches.  Raises OracleBoundError past MAX_WORKERS workers, ConfigError
+    on role changes (the chain has none), RuntimeError if the masses miss 1
+    by over PROB_TOL.  Exact for the chain on the `GRID_DECIMALS` (12-decimal)
+    grid, not for the float chain `repsim run` steps: a p_c one or two ulps
+    below 1 counts as trapped here one round earlier.
 
     Each worker's (honest, cheated) cells, tabulated once per state from the
     engine's scalar rules, hold its part of every column: camp reputations
@@ -118,6 +118,8 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
     if n > MAX_WORKERS:
         raise OracleBoundError(f"roster of {n} exceeds the enumeration "
                                f"bound of {MAX_WORKERS} workers")
+    if config.role_changes:
+        raise ConfigError("the oracle's chain has no role changes", "role_change")
     state = state.canonical()
     scheme, p_a, aud = config.scheme, state.p_a, state.aud + 1
     masses = dict(cheater_set_probabilities(state))

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from . import metrics, oracle, reputation as rep
 from .engine import run_simulation
-from .model import ExactState, RoleChange, SystemConfig, WorkerSpec, WorkerType
+from .model import ConfigError, ExactState, RoleChange, SystemConfig, WorkerSpec, WorkerType
 
 #: Initial cheat probability used by the partial-coverage presets: the
 #: exponential scheme is exercised from the worst case, the others from 0.5.
@@ -87,8 +87,8 @@ def get_scenario(name: str) -> SystemConfig:
     list the alternatives."""
     key = name.strip().replace("τ", "tau")
     if key not in _CATALOG:
-        raise KeyError(f"unknown scenario {name!r}; known scenarios:\n  "
-                       + "\n  ".join(list_scenarios()))
+        raise ConfigError(f"unknown scenario {name!r}; known scenarios:\n  "
+                          + "\n  ".join(list_scenarios()), "scenario")
     cfg = _CATALOG[key]
     return replace(cfg, workers=list(cfg.workers),
                    role_changes=list(cfg.role_changes))

@@ -186,10 +186,10 @@ def test_partial_coverage_separates_the_schemes():
 # -- 9. five defect at round 500: both recover, type2 no later than type1 ---
 
 def reconvergence(name):
-    _, traces = run(name)
+    columns = run(name)[0].columns
     cfg = scenarios.get_scenario(name)
-    return [metrics.detect_convergence(traces[s], cfg.p_a_min, start=500)
-            for s in sorted(traces)]
+    return [metrics.detect_convergence(columns[s], cfg.p_a_min, start=500)
+            for s in sorted(columns)]
 
 
 def test_dynamic_change_recovery():

@@ -38,8 +38,12 @@ def test_run_requires_one_source(tmp_path):
     assert run_cli("run", "--scenario", "x", "--config", "y") == 2
 
 
-def test_run_unknown_scenario(tmp_path):
+def test_run_unknown_scenario(tmp_path, capsys):
     assert run_cli("run", "--scenario", "bogus", "--out", str(tmp_path)) == 1
+    # the message itself, not its repr with escaped newlines
+    err = capsys.readouterr().err
+    assert err.startswith("run: unknown scenario 'bogus'; known scenarios:\n")
+    assert "\\" not in err
 
 
 def test_run_writes_expected_files(tmp_path):
@@ -282,6 +286,7 @@ def test_verify_reports_spent_escape_budget(capsys, monkeypatch):
     ("lemma1", "--horizon", "0"),
     ("property1", "--horizon", "-5"),
     ("property2", "--max-aud", "0"),
+    ("property2", "--max-aud", "abc"),
     ("property2", "--max-set-size", "0"),
     ("transitions", "--samples", "0"),
     # too few for a chi-square test: pooling leaves one bin

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repsim import metrics, scenarios
 from repsim.model import RoundOutcome
@@ -23,29 +24,68 @@ def test_reputation_ratio_signs():
     assert metrics.reputation_ratio(cols["rho"], cols["cheated"]) == pytest.approx([0.125])
 
 
+def reference_convergence(cols, p_a_min, start=0):
+    """The round-by-round reading of `metrics.detect_convergence`: a run of
+    qualifying rounds counted backwards from the end of the trace."""
+    ok = [bool(c and p <= p_a_min + metrics.P_A_SLACK)
+          for c, p in zip(cols["correct"], cols["p_a"])]
+    best = None
+    run = 0
+    for r in range(len(ok) - 1, start - 1, -1):
+        run = run + 1 if ok[r] else 0
+        if run >= metrics.WINDOW:
+            best = r
+    return best
+
+
+def columns(correct, p_a):
+    """The two columns `detect_convergence` reads."""
+    return {"correct": np.array(correct, dtype=bool), "p_a": np.array(p_a, dtype=float)}
+
+
 class TestDetectConvergence:
-    def trace(self, flips):
-        """300 rounds, correct except at the listed indices."""
-        return [outcome(r=r, correct=r not in flips) for r in range(300)]
+    def cols(self, flips):
+        """300 rounds at p_a 0.01, correct except at the listed indices."""
+        return columns([r not in flips for r in range(300)], [0.01] * 300)
 
     def test_earliest_window(self):
-        assert metrics.detect_convergence(self.trace({49}), 0.01) == 50
+        found = metrics.detect_convergence(self.cols({49}), 0.01)
+        assert found == 50
+        assert type(found) is int   # a numpy scalar would print as np.int64(50)
 
     def test_gap_restarts_window(self):
-        assert metrics.detect_convergence(self.trace({49, 120}), 0.01) == 121
+        assert metrics.detect_convergence(self.cols({49, 120}), 0.01) == 121
+        # 99 good rounds between two flips are one short of a window
+        assert metrics.detect_convergence(self.cols({49, 149}), 0.01) == 150
 
     def test_start_offset(self):
-        assert metrics.detect_convergence(self.trace({49}), 0.01, start=130) == 130
+        assert metrics.detect_convergence(self.cols({49}), 0.01, start=130) == 130
 
     def test_none_when_no_window_fits(self):
         flips = set(range(0, 300, 90))
-        assert metrics.detect_convergence(self.trace(flips), 0.01) is None
+        assert metrics.detect_convergence(self.cols(flips), 0.01) is None
+        # the last window must fit whole before the end
+        assert metrics.detect_convergence(self.cols(set(range(200))), 0.01) == 200
+        assert metrics.detect_convergence(self.cols(set(range(201))), 0.01) is None
 
     def test_audit_probability_gate(self):
-        trace = [outcome(r=r, p_a=0.5 if r < 120 else 0.012) for r in range(300)]
-        assert metrics.detect_convergence(trace, 0.01) == 120
-        above = [outcome(r=r, p_a=0.01 + metrics.P_A_SLACK + 0.001) for r in range(300)]
+        cols = columns([True] * 300, [0.5 if r < 120 else 0.012 for r in range(300)])
+        assert metrics.detect_convergence(cols, 0.01) == 120
+        above = columns([True] * 300, [0.01 + metrics.P_A_SLACK + 0.001] * 300)
         assert metrics.detect_convergence(above, 0.01) is None
+
+    # runs of equal rounds, so that windows of 100 both fit and break
+    runs = st.lists(st.tuples(st.integers(1, 200) | st.sampled_from([99, 100, 101]),
+                              st.sampled_from([True, True, False]),
+                              st.sampled_from([0.0, 0.01, 0.015, 0.016, 0.5])), max_size=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs, st.integers(0, 300), st.sampled_from([0.0, 0.01]))
+    def test_matches_reference(self, runs, start, p_a_min):
+        cols = columns([c for k, c, _ in runs for _ in range(k)],
+                       [p for k, _, p in runs for _ in range(k)])
+        assert (metrics.detect_convergence(cols, p_a_min, start)
+                == reference_convergence(cols, p_a_min, start))
 
 
 def test_summarize_shapes_and_means():

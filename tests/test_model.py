@@ -213,12 +213,19 @@ class TestConfigText:
         ("scheme = type3\nerror_bound = nan\n", 2),
         ("scheme = type3\nbeta_init = nan\n", 2),
         ("scheme = type3\nerror_bound = inf\n", 2),
+        ("worker =\n", 1),
+        ("worker = rational abc\n", 1),
+        ("worker = rational 0.5 0.1 1 2\n", 1),
+        ("role_change = 5 0\n", 1),
+        ("role_change = 5 0 sneaky\n", 1),
     ], ids=["repeat-count-zero", "empty-seeds", "repeated-key",
             "type1-epsilon", "type2-beta-decay", "type3-epsilon",
             "repeated-seed", "malformed-seed", "malformed-role-change",
             "malformed-horizon", "malformed-float", "malformed-scheme-parameter",
             "type3-negative-decay", "type3-negative-increment", "type3-nan-bound",
-            "type3-nan-beta-init", "type3-infinite-bound"])
+            "type3-nan-beta-init", "type3-infinite-bound", "empty-worker",
+            "malformed-worker-number", "worker-four-numbers", "role-change-two-fields",
+            "role-change-bad-type"])
     def test_rejected_with_line(self, text, line):
         with pytest.raises(ConfigError, match=f"^line {line}: "):
             SystemConfig.from_text(text)

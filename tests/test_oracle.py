@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repsim import oracle, reputation as rep, scenarios
 from repsim.oracle import Branch
-from repsim.model import FIXED_PC, ExactState, SystemConfig, WorkerSpec, WorkerType
+from repsim.model import (FIXED_PC, ConfigError, ExactState, RoleChange, SystemConfig,
+                          WorkerSpec, WorkerType)
 from conftest import make_config, round_successor, run_round
 
 # the enumerator must avoid a division by zero, not silence it
@@ -170,6 +171,17 @@ class TestEnumeration:
         with pytest.raises(oracle.OracleBoundError, match="bound of 10 workers"):
             oracle.enumerate_transitions(cfg, exact_state(cfg))
 
+    def test_role_changes_rejected(self):
+        # the chain has no role changes: an answer would be for another chain
+        cfg = make_config(n=3, scheme="type2", p_c0=0.0,
+                          role_changes=[RoleChange(1, 0, WorkerType.MALICIOUS)])
+        with pytest.raises(ConfigError, match="role change") as exc:
+            oracle.reach_probability(cfg, exact_state(cfg), lambda s: s.p_c[0] == 1.0, 5)
+        assert exc.value.key == "role_change"
+        cfg = scenarios.get_scenario("dynamic500-type2")
+        with pytest.raises(ConfigError, match="role change"):
+            oracle.enumerate_transitions(cfg, exact_state(cfg))
+
     @settings(max_examples=30, deadline=None)
     @given(p_cs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
            p_a0=st.floats(0.0, 1.0),
@@ -246,6 +258,13 @@ class TestReachProbability:
         assert abs(oracle.reach_probability(cfg, start, pred, 2).lower - 0.5) < TOL
         expected3 = 0.5 + 0.5 * 0.42 * 0.51
         assert abs(oracle.reach_probability(cfg, start, pred, 3).lower - expected3) < TOL
+
+    def test_frontier_empties(self):
+        # p_a pinned at 1 audits the first round, so all the mass is absorbed
+        # there and the query stops before its horizon
+        cfg = make_config(n=3, scheme="type2", p_a0=1.0, p_a_min=1.0)
+        reach = oracle.reach_probability(cfg, exact_state(cfg), lambda s: s.aud >= 1, 5)
+        assert reach == oracle.Reach(1.0, 1.0, (0.0, 1.0), 1)
 
     def test_budget_carries_lower_bound(self):
         cfg = make_config(n=3, scheme="type2", p_c0=0.5)

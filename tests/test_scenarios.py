@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from repsim import scenarios
-from repsim.model import WorkerType
+from repsim.model import ConfigError, WorkerType
 
 
 def test_catalog_covers_the_grid():
@@ -23,7 +23,7 @@ def test_get_scenario_returns_fresh_copies():
 
 
 def test_unknown_scenario_lists_alternatives():
-    with pytest.raises(KeyError, match="rational9-type2-pc1"):
+    with pytest.raises(ConfigError, match="rational9-type2-pc1"):
         scenarios.get_scenario("nope")
 
 
