@@ -16,14 +16,14 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import oracle, reputation as rep, scenarios
-from .model import SETTINGS, ConfigError, SystemConfig, located, parse_seeds
+from .model import SETTINGS, ConfigError, SystemConfig, located
 
 FMT = "%.10g"
 
@@ -94,24 +94,14 @@ def _apply_overrides(config: SystemConfig, args) -> SystemConfig:
     set its key, or else the flag that set its bound (`model.located`)."""
     flags = {"seeds": "seeds", "scheme": "scheme", "epsilon": "epsilon", **FLAGS}
     given = {k: getattr(args, f) for k, f in flags.items() if getattr(args, f) is not None}
-    try:
-        if args.seeds is not None:
-            config.seeds = parse_seeds(args.seeds, "--seeds")
-        if args.scheme is not None or args.epsilon is not None:
-            name = args.scheme or config.scheme.name
-            # a scheme named again keeps its parameters; --epsilon overrides
-            params = asdict(config.scheme) if name == config.scheme.name else {}
-            if args.epsilon is not None:
-                params["epsilon"] = args.epsilon
-            config.scheme = rep.scheme_from_name(name, **params)
-        for key, value in given.items():
-            if key in SETTINGS:
-                setattr(config, SETTINGS[key][0], value)
-            elif key in FLAGS:   # a worker's key
-                config.workers = [replace(w, **{key: value}) for w in config.workers]
-        return config.validate()
-    except ConfigError as exc:
-        raise located(exc, {k: f"--{flags[k]}" for k in given}) from None
+    where = {k: f"--{flags[k]}" for k in given}
+    roster = {k: given.pop(k) for k in ("wby", "aspiration") if k in given}
+    if roster:   # a worker's keys set every worker
+        try:
+            config = replace(config, workers=[replace(w, **roster) for w in config.workers])
+        except ConfigError as exc:
+            raise located(exc, where) from None
+    return config.updated(given, where)
 
 
 def cmd_run(args) -> int:

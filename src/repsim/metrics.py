@@ -54,6 +54,8 @@ def detect_convergence(cols: dict, p_a_min: float, start: int = 0) -> Optional[i
     probability sits within `P_A_SLACK` of its floor.  Returns None when no
     window fits before the end of the trace.
     """
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
     bad = ~(cols["correct"][start:] & (cols["p_a"][start:] <= p_a_min + P_A_SLACK))
     fails = np.concatenate(([0], np.cumsum(bad)))   # fails[j]: failures before start + j
     opens = np.flatnonzero(fails[WINDOW:] == fails[:-WINDOW])

@@ -226,10 +226,38 @@ class SystemConfig:
                   for rc in self.role_changes]
         return "\n".join(lines) + "\n"
 
+    def updated(self, settings: dict, where: dict) -> "SystemConfig":
+        """A validated copy with `settings` (config key -> its text, or a value
+        of the key's type) applied: the scheme (named again, it keeps its
+        parameters), its parameters, then the seeds and the `SETTINGS` keys.
+        A ConfigError names its source in `where` (`located`)."""
+        settings = dict(settings)
+        try:
+            name = settings.pop("scheme", self.scheme.name)
+            scheme = self.scheme if name == self.scheme.name else rep.scheme_from_name(name)
+            for key in [k for k in settings if k in rep.PARAM_KEYS]:
+                attr = rep.scheme_params(scheme).get(key)
+                if attr is None:
+                    raise ConfigError(f"scheme {scheme.name} takes no parameter {key!r}", key)
+                number = _parse_number(float, settings.pop(key), key)
+                scheme = replace(scheme, **{attr: number})
+            config = replace(self, scheme=scheme)
+            for key, value in settings.items():
+                if key == "seeds":
+                    config.seeds = parse_seeds(value)
+                elif key in SETTINGS:
+                    attr, kind, _, _ = SETTINGS[key]
+                    setattr(config, attr, _parse_number(kind, value, key))
+                else:
+                    raise ConfigError(f"unknown config key {key!r}", key)
+            return config.validate()
+        except ConfigError as exc:
+            raise located(exc, where) from None
+
     @classmethod
     def from_text(cls, text: str) -> "SystemConfig":
         """Parse the key/value config format (see README for the schema).
-        Every ConfigError names the line of the key it rejects (`located`)."""
+        Every ConfigError names the line of the key it rejects."""
         raw, where, workers, role_changes = {}, {}, [], []   # where: key -> "line N"
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
@@ -239,8 +267,7 @@ class SystemConfig:
                 raise ConfigError(f"line {lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "worker":
-                workers.extend(_parse_worker(value, lineno))
-                where[key] = f"line {lineno}"   # the roster bound names the last one
+                workers.extend(_parse_worker(value, lineno, len(workers)))
             elif key == "role_change":
                 where[key, len(role_changes)] = f"line {lineno}"
                 role_changes.append(_parse_role_change(value, lineno))
@@ -248,28 +275,9 @@ class SystemConfig:
                 raise ConfigError(f"line {lineno}: {key!r} is already set on {where[key]}")
             else:
                 raw[key], where[key] = value, f"line {lineno}"
-        try:
-            scheme = rep.scheme_class(raw.pop("scheme", "type2"))()
-            for key in [k for k in raw if k in rep.PARAM_KEYS]:
-                attr = rep.scheme_params(scheme).get(key)
-                if attr is None:
-                    raise ConfigError(f"scheme {scheme.name} takes no {key!r}", key)
-                number = _parse_number(float, raw.pop(key), f"{where[key]}: {key}")
-                scheme = replace(scheme, **{attr: number})
-            cfg = cls(scheme=scheme, role_changes=role_changes)
-            if workers:
-                cfg.workers = workers
-            for key, value in raw.items():
-                if key == "seeds":
-                    cfg.seeds = parse_seeds(value, f"{where[key]}: {key}")
-                elif key in SETTINGS:
-                    attr, kind, _, _ = SETTINGS[key]
-                    setattr(cfg, attr, _parse_number(kind, value, f"{where[key]}: {key}"))
-                else:
-                    raise ConfigError(f"unknown config key {key!r}", key)
-            return cfg.validate()
-        except ConfigError as exc:
-            raise located(exc, where) from None
+        config = cls(role_changes=role_changes)
+        config.workers = workers or config.workers
+        return config.updated(raw, where)
 
 
 def located(exc: ConfigError, where: dict) -> ConfigError:
@@ -286,19 +294,19 @@ def _num(x: float) -> str:
     return f"{x:.10g}" if float(f"{x:.10g}") == x else repr(x)
 
 
-def _parse_worker(value: str, lineno: int) -> list:
-    # "type [p_c0 [aspiration [wby]]] [xN]"
+def _parse_worker(value: str, lineno: int, roster: int) -> list:
+    # "type [p_c0 [aspiration [wby]]] [xN]", after `roster` workers
     toks = value.split()
     if not toks:
         raise ConfigError(f"line {lineno}: empty worker entry")
     count = 1
-    if len(toks) > 1 and toks[-1].startswith("x") and toks[-1][1:].isdigit():
+    if len(toks) > 1 and toks[-1].startswith("x") and toks[-1][1:].isdecimal():
         count = int(toks.pop()[1:])
         if count < 1:
             raise ConfigError(f"line {lineno}: worker repeat count must be at least 1")
-        if count > MAX_ROSTER:
-            raise ConfigError(f"line {lineno}: at most {MAX_ROSTER} workers are allowed, "
-                              f"got {count}")
+    if roster + count > MAX_ROSTER:
+        raise ConfigError(f"line {lineno}: at most {MAX_ROSTER} workers are allowed, "
+                          f"got {roster + count}")
     try:
         wtype = WorkerType(toks[0])
     except ValueError:
@@ -319,27 +327,28 @@ def _parse_role_change(value: str, lineno: int) -> RoleChange:
     toks = value.split()
     if len(toks) != 3:
         raise ConfigError(f"line {lineno}: role_change takes 'round worker type'")
-    try:
-        new_type = WorkerType(toks[2])
+    try:   # keyword arguments evaluate in the order written: the type first
+        return RoleChange(new_type=WorkerType(toks[2]),
+                          round=_parse_number(int, toks[0], "role_change"),
+                          worker=_parse_number(int, toks[1], "role_change"))
+    except ConfigError as exc:
+        raise ConfigError(f"line {lineno}: role_change: {exc}", "role_change") from None
     except ValueError:
         raise ConfigError(f"line {lineno}: unknown worker type {toks[2]!r}") from None
-    where = f"line {lineno}: role_change"
-    return RoleChange(round=_parse_number(int, toks[0], where),
-                      worker=_parse_number(int, toks[1], where), new_type=new_type)
 
 
-def _parse_number(kind, text: str, where: str):
-    """`text` read as `kind` (int or float); `where` names it in the error."""
+def _parse_number(kind, text, key: str):
+    """`text` read as `kind` (int or float), or a ConfigError keyed `key`."""
     try:
         return kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where}: expected {what}, got {text!r}") from None
+        raise ConfigError(f"expected {what}, got {text!r}", key) from None
 
 
-def parse_seeds(text: str, where: str) -> tuple:
+def parse_seeds(text: str) -> tuple:
     """The integer seeds of a space- or comma-separated list; `validate` checks them."""
-    return tuple(_parse_number(int, tok, where) for tok in text.replace(",", " ").split())
+    return tuple(_parse_number(int, tok, "seeds") for tok in text.replace(",", " ").split())
 
 
 def _repeated(seeds) -> int:

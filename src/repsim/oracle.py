@@ -191,6 +191,8 @@ def reach_probability(config: SystemConfig, start: ExactState,
     frontier empties.  If the frontier outgrows `max_states`, the query stops
     there: `lower` is the mass absorbed, `upper` that plus the frontier's.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     start = start.canonical()
     if predicate(start):
         return Reach(1.0, 1.0, (1.0,), 0)

@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repsim import cli, metrics, oracle, scenarios
-from repsim.model import MAX_ROSTER, RoundOutcome, SystemConfig, WorkerSpec, WorkerType
+from repsim.model import (MAX_ROSTER, SETTINGS, ConfigError, RoundOutcome, SystemConfig,
+                          WorkerSpec, WorkerType)
 from repsim.reputation import scheme_from_name
 from conftest import verify_stdout
 
@@ -155,6 +158,53 @@ def test_bad_flag_named(tmp_path, capsys, flags, message):
                    "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"run: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+#: Per config key: settings that a config file and the run flags both accept,
+#: then settings that both reject (`--alpha` sets both learning rates).
+AGREEMENT = {
+    "horizon": ({"horizon": "7"}, {"horizon": "-3"}),
+    "p_a": ({"p_a": "0.25"}, {"p_a": "2"}),
+    "p_a_min": ({"p_a_min": "0.005"}, {"p_a_min": "0.6"}),
+    "tau": ({"tau": "0.3"}, {"tau": "-0.5"}),
+    "alpha_m": ({"alpha_m": "0.2", "alpha_w": "0.2"}, {"alpha_m": "inf", "alpha_w": "inf"}),
+    "alpha_w": ({"alpha_m": "0.3", "alpha_w": "0.3"}, {"alpha_m": "nan", "alpha_w": "nan"}),
+    "wpc": ({"wpc": "1.5"}, {"wpc": "-1"}),
+    "wct": ({"wct": "0.2"}, {"wct": "inf"}),
+    "seeds": ({"seeds": "3,4"}, {"seeds": "1 x"}),
+    "scheme": ({"scheme": "type3"}, {"scheme": "type1", "epsilon": "0.3"}),
+    "epsilon": ({"epsilon": "0.25"}, {"epsilon": "2"}),
+}
+BASE = "worker = rational 0.5 0.1 1 x3\n"
+
+
+def from_file(settings: dict) -> SystemConfig:
+    return SystemConfig.from_text(BASE + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+
+
+def from_flags(settings: dict) -> SystemConfig:
+    flags = {f"--{cli.FLAGS.get(k, k)}": v for k, v in settings.items()}
+    args = cli.build_parser().parse_args(["run", *chain.from_iterable(flags.items())])
+    return cli._apply_overrides(SystemConfig.from_text(BASE), args)
+
+
+def test_agreement_covers_every_key():
+    assert set(AGREEMENT) == set(SETTINGS) | {"seeds", "scheme", "epsilon"}
+
+
+@pytest.mark.parametrize("key", list(AGREEMENT))
+def test_front_ends_agree(key):
+    accepted, rejected = AGREEMENT[key]
+    text = from_file(accepted).to_text()
+    assert text == from_flags(accepted).to_text() != SystemConfig.from_text(BASE).to_text()
+    reasons = []
+    for build in (from_file, from_flags):
+        with pytest.raises(ConfigError) as exc:
+            build(rejected)
+        reasons.append(str(exc.value).split(": ", 1))
+    (line, in_file), (flag, by_flag) = reasons
+    assert re.fullmatch(r"line \d+", line) and flag.startswith("--")
+    assert in_file == by_flag
 
 
 @pytest.mark.parametrize("source,key", [

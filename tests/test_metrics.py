@@ -68,6 +68,11 @@ class TestDetectConvergence:
         assert metrics.detect_convergence(self.cols(set(range(200))), 0.01) == 200
         assert metrics.detect_convergence(self.cols(set(range(201))), 0.01) is None
 
+    def test_negative_start_rejected(self):
+        # a negative start would slice from the end of the trace
+        with pytest.raises(ValueError, match="start must be >= 0, got -50"):
+            metrics.detect_convergence(self.cols(set()), 0.01, start=-50)
+
     def test_audit_probability_gate(self):
         cols = columns([True] * 300, [0.5 if r < 120 else 0.012 for r in range(300)])
         assert metrics.detect_convergence(cols, 0.01) == 120

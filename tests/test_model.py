@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repsim.model import (MAX_ROSTER, SETTINGS, ConfigError, ExactState, RoleChange,
                           SystemConfig, WorkerSpec, WorkerType, clamp, compute_payoffs)
-from repsim import reputation as rep
+from repsim import model, reputation as rep
 
 
 def test_clamp():
@@ -218,6 +218,7 @@ class TestConfigText:
         ("worker = rational 0.5 0.1 1 2\n", 1),
         ("role_change = 5 0\n", 1),
         ("role_change = 5 0 sneaky\n", 1),
+        ("worker = rational x\u00b2\n", 1),
     ], ids=["repeat-count-zero", "empty-seeds", "repeated-key",
             "type1-epsilon", "type2-beta-decay", "type3-epsilon",
             "repeated-seed", "malformed-seed", "malformed-role-change",
@@ -225,7 +226,7 @@ class TestConfigText:
             "type3-negative-decay", "type3-negative-increment", "type3-nan-bound",
             "type3-nan-beta-init", "type3-infinite-bound", "empty-worker",
             "malformed-worker-number", "worker-four-numbers", "role-change-two-fields",
-            "role-change-bad-type"])
+            "role-change-bad-type", "superscript-repeat-count"])
     def test_rejected_with_line(self, text, line):
         with pytest.raises(ConfigError, match=f"^line {line}: "):
             SystemConfig.from_text(text)
@@ -243,6 +244,14 @@ class TestConfigText:
             SystemConfig(workers=[WorkerSpec()] * (MAX_ROSTER + 1)).validate()
         assert exc.value.key == "worker"
         SystemConfig(workers=[WorkerSpec()] * MAX_ROSTER).validate()
+
+    def test_roster_bound_checked_per_line(self, monkeypatch):
+        # the line whose workers cross the bound is named; later lines are not read
+        monkeypatch.setattr(model, "MAX_ROSTER", 10)
+        with pytest.raises(ConfigError,
+                           match=r"^line 2: at most 10 workers are allowed, got 12$"):
+            SystemConfig.from_text("worker = rational x6\nworker = rational x6\n"
+                                   "worker = sneaky\n")
 
     def test_readme_block_names_every_key(self):
         # the README's example config parses, sets every master setting and

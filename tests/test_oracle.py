@@ -266,6 +266,13 @@ class TestReachProbability:
         reach = oracle.reach_probability(cfg, exact_state(cfg), lambda s: s.aud >= 1, 5)
         assert reach == oracle.Reach(1.0, 1.0, (0.0, 1.0), 1)
 
+    def test_negative_horizon_rejected(self):
+        cfg = self.single_worker()
+        with pytest.raises(ValueError, match="horizon must be >= 0, got -3"):
+            oracle.reach_probability(cfg, exact_state(cfg), lambda s: False, horizon=-3)
+        assert oracle.reach_probability(cfg, exact_state(cfg), lambda s: False,
+                                        horizon=0) == oracle.Reach(0.0, 0.0, (0.0,), 0)
+
     def test_budget_carries_lower_bound(self):
         cfg = make_config(n=3, scheme="type2", p_c0=0.5)
         cleared = lambda s: all(p == 0.0 for p in s.p_c)
