@@ -51,8 +51,8 @@ def _draw_branch(draw, p_a, p_c, weights, camps, votes):
     then one tie uniform only if the vote ties.  `camps` keeps each cheat
     pattern's (cheater set, honest indices, cheater indices, settled
     branches); `votes` keeps each pattern's camp sums of `weights`, added in
-    index order as `rep.aggregate` adds, so it must be emptied when they
-    change.  Returns (camps entry, audited, tie, honest_win).
+    index order (see `reputation`), so it must be emptied when they change.
+    Returns (camps entry, audited, tie, honest_win).
     """
     pattern = decide_strategies(p_c, draw)
     entry = camps.get(pattern)
@@ -98,8 +98,7 @@ def _audit(config: SystemConfig, p_a, aud, v, beta, cheaters, cheat):
     the master reads the cheaters' share of the new vote weights.  `cheat`
     lists `cheaters` in index order."""
     scheme = config.scheme
-    v, beta = zip(*(rep.audit_update(scheme, v[i], beta[i], truthful=i not in cheaters)
-                    for i in range(config.n)))
+    v, beta = rep.audit_updates(scheme, v, beta, cheaters)
     reputations = rep.values(scheme, v, aud + 1, beta)
     weights = reread_underflow(scheme, v, beta, reputations)
     p_a = master_update(config, p_a, sum(map(weights.__getitem__, cheat)), sum(weights))

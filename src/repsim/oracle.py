@@ -3,7 +3,7 @@
 States are canonicalized to a fixed 12-decimal grid so that successor states
 produced along different paths merge; the probabilities are exact for that
 grid chain.  `enumerate_transitions` tabulates each worker's (honest,
-cheated) cells from the engine's own scalar rules and reads every cheater
+cheated) cells from the engine's own rules and reads every cheater
 set's successors off one row of their `itertools.product`, with exact
 branch probabilities (cheater subsets x audit outcome, ties split into two
 half-weighted branches).  `sample_round_keys` draws the same branches the
@@ -106,13 +106,13 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
     below 1 counts as trapped here one round earlier.
 
     Each worker's (honest, cheated) cells, tabulated once per state from the
-    engine's scalar rules, hold its part of every column: camp reputations
-    (through `engine.reread_underflow`), p_c after either camp won and, if
-    p_a > 0, post-audit reputations, p_c, v and beta.  A cheater set's row
-    is one of the cells' `itertools.product`; its columns are summed into
-    camp weights in worker order, as `rep.aggregate` adds, or kept as the
-    successor's tuples.  Where every post-audit reputation reads 0.0, p_a
-    comes from `engine._audit`, which re-reads them.
+    engine's roster-wide rules, hold its part of every column: camp
+    reputations (through `engine.reread_underflow`), p_c after either camp
+    won and, if p_a > 0, post-audit reputations, p_c, v and beta.  A cheater
+    set's row is one of the cells' `itertools.product`; its columns are
+    summed into camp weights in worker order, as the engine adds, or kept
+    as the successor's tuples.  Where every post-audit reputation reads
+    0.0, p_a comes from `engine._audit`, which re-reads them.
     """
     n = len(config.workers)
     if n > MAX_WORKERS:
@@ -130,13 +130,16 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
                *(_next_p_c(config, state, False, honest_won=hw) for hw in (True, False))]
     audited = p_a > 0.0
     if audited:
-        counts = [[rep.audit_update(scheme, v, b, truthful=not c) for c in (False, True)]
-                  for v, b in zip(state.v, state.beta)]
-        rho_audited = [[rep.value(scheme, v, aud, b) for v, b in pair] for pair in counts]
+        # an audit update reads only the worker's own counts, so one audit
+        # that catches no one and one that catches everyone give every cell
+        truthful, caught = (rep.audit_updates(scheme, state.v, state.beta, cheaters)
+                            for cheaters in ((), range(n)))
+        rho_audited = list(zip(*(rep.values(scheme, v, aud, beta)
+                                 for v, beta in (truthful, caught))))
         columns += [[(0.0, c) for _, c in rho_audited], rho_audited,
-                    _next_p_c(config, state, audited=True),
-                    [[v for v, _ in pair] for pair in counts],
-                    [[round(b, GRID_DECIMALS) for _, b in pair] for pair in counts]]
+                    _next_p_c(config, state, audited=True), list(zip(truthful[0], caught[0])),
+                    [(round(h, GRID_DECIMALS), round(c, GRID_DECIMALS))
+                     for h, c in zip(truthful[1], caught[1])]]
     cells = [tuple(zip(*pairs)) for pairs in zip(*columns)]
 
     def unaudited(p_c):

@@ -9,15 +9,21 @@ Three metrics are supported plus a constant baseline:
   1 - sqrt(beta/A), pinned at 0.001 once beta exceeds the bound A
 * none   -- constant 0.5, reducing weighted majority to simple majority
 
-All functions here are pure and operate on plain counts so the engine and
-the exact enumerator evaluate reputation identically.
+Every rule here is pure and takes a whole roster at once: per-worker counts
+`v` and error rates `beta` in worker order, and the audit count `aud` they
+share.  `values` gives every worker's reputation and `audit_updates` the
+counts after one audit, so the engine, the exact enumerator and the property
+checks evaluate reputation identically.  Wherever reputations are summed
+(camp weights, aggregates, the master's cheater share) they are added left
+to right in worker order, with `sum`: another order (`np.sum`, `@`) rounds
+differently and would move ties and the bits of `p_a`.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,15 +41,16 @@ class Scheme:
 
     A scheme is a frozen dataclass whose fields are its parameters (with
     their defaults), whose class attribute `name` is its config name, and
-    whose `formula` gives the reputation once at least one audit happened.
+    whose `formulas(v, aud, beta)` gives every worker's reputation once at
+    least one audit happened.
     A field's `key` metadata names it in config files when that differs
     from the field name; a bad parameter raises a ConfigError keyed by it.
     """
 
     beta_init = 0.0
 
-    def beta_update(self, beta: float, truthful: bool) -> float:
-        return beta
+    def beta_updates(self, beta: Sequence, cheaters) -> tuple:
+        return tuple(beta)
 
     def property2_candidates(self, max_aud: int, beta_depth: int) -> list:
         """(aud, per-worker (v, beta) candidates) groups the property-2
@@ -56,8 +63,8 @@ class Scheme:
 class Type1(Scheme):
     name = "type1"
 
-    def formula(self, v: int, aud: int, beta: float) -> float:
-        return (v + 1) / (aud + 2)
+    def formulas(self, v: Sequence, aud: int, beta: Sequence) -> tuple:
+        return tuple([(x + 1) / (aud + 2) for x in v])
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,8 @@ class Type2(Scheme):
             raise ConfigError("type 2 epsilon must lie strictly inside (0, 1), "
                               f"got {self.epsilon!r}", "epsilon")
 
-    def formula(self, v: int, aud: int, beta: float) -> float:
-        return self.epsilon ** (aud - v)
+    def formulas(self, v: Sequence, aud: int, beta: Sequence) -> tuple:
+        return tuple([self.epsilon ** (aud - x) for x in v])
 
 
 @dataclass(frozen=True)
@@ -90,15 +97,14 @@ class Type3(Scheme):
         if self.error_bound == 0.0:
             raise ConfigError("type 3 error_bound must be positive", "error_bound")
 
-    def formula(self, v: int, aud: int, beta: float) -> float:
-        if beta > self.error_bound:
-            return 0.001
-        return 1.0 - math.sqrt(beta / self.error_bound)
+    def formulas(self, v: Sequence, aud: int, beta: Sequence) -> tuple:
+        bound = self.error_bound
+        return tuple([0.001 if b > bound else 1.0 - math.sqrt(b / bound) for b in beta])
 
-    def beta_update(self, beta: float, truthful: bool) -> float:
-        if not truthful:
-            return beta + self.increment
-        return beta * self.decay if self.decay else 0.0   # an inf beta: inf * 0 is NaN
+    def beta_updates(self, beta: Sequence, cheaters) -> tuple:
+        # a zero decay sets 0.0: an inf beta times 0 is NaN
+        return tuple([b + self.increment if i in cheaters else b * self.decay if self.decay
+                      else 0.0 for i, b in enumerate(beta)])
 
     def property2_candidates(self, max_aud: int, beta_depth: int) -> list:
         """One audit count, over the error rates of all-truthful histories of
@@ -111,8 +117,8 @@ class Type3(Scheme):
 class NoReputation(Scheme):
     name = "none"
 
-    def formula(self, v: int, aud: int, beta: float) -> float:
-        return 0.5
+    def formulas(self, v: Sequence, aud: int, beta: Sequence) -> tuple:
+        return (0.5,) * len(v)
 
 
 _CLASSES = {cls.name: cls for cls in (Type1, Type2, Type3, NoReputation)}
@@ -140,30 +146,25 @@ def scheme_from_name(name: str, **params):
     return cls(**params)
 
 
-def value(scheme, v: int, aud: int, beta: float = 0.0) -> float:
-    """Reputation of a single worker given its audit counts.
-
-    Before the first audit every scheme reports 0.5, matching the uniform
-    initialization of the master's algorithm.
-    """
-    if v > aud:
-        raise ValueError(f"validation count {v} exceeds audit count {aud}")
-    return 0.5 if aud == 0 else scheme.formula(v, aud, beta)
-
-
 def values(scheme, v: Sequence, aud: int, beta: Sequence) -> tuple:
-    """value() of every worker of one chain state, in index order."""
-    return tuple(value(scheme, v[i], aud, beta[i]) for i in range(len(v)))
+    """Every worker's reputation, in worker order, given its validation count
+    in `v`, its error rate in `beta` and the shared audit count `aud`.
+
+    A count above `aud` raises ValueError (naming the first), also at
+    aud = 0.  Before the first audit every scheme reports 0.5, matching the
+    uniform initialization of the master's algorithm.
+    """
+    if v and max(v) > aud:
+        raise ValueError(f"validation count {next(x for x in v if x > aud)} "
+                         f"exceeds audit count {aud}")
+    return (0.5,) * len(v) if aud == 0 else scheme.formulas(v, aud, beta)
 
 
-def audit_update(scheme, v: int, beta: float, truthful: bool):
-    """Post-audit counts for one worker: returns (v', beta')."""
-    return v + truthful, scheme.beta_update(beta, truthful)
-
-
-def aggregate(scheme, members: Iterable, aud: int) -> float:
-    """Sum of value() over (v, beta) pairs; empty set aggregates to 0."""
-    return sum(value(scheme, v, aud, beta) for v, beta in members)
+def audit_updates(scheme, v: Sequence, beta: Sequence, cheaters) -> tuple:
+    """A roster's (v', beta') after one audit that catches the workers whose
+    indices are in `cheaters`; every other worker gains a validation."""
+    return (tuple([x + (i not in cheaters) for i, x in enumerate(v)]),
+            scheme.beta_updates(beta, cheaters))
 
 
 def check_property1(scheme, x_size: int, y_size: int, horizon: int) -> bool:
@@ -175,13 +176,13 @@ def check_property1(scheme, x_size: int, y_size: int, horizon: int) -> bool:
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    x = [(0, scheme.beta_init)] * x_size
-    y = [(0, scheme.beta_init)] * y_size
+    x_v, x_beta = (0,) * x_size, (scheme.beta_init,) * x_size
+    y_v, y_beta = (0,) * y_size, (scheme.beta_init,) * y_size
     last_violation = 0
     for r in range(1, horizon + 1):
-        x = [audit_update(scheme, v, b, truthful=True) for v, b in x]
-        y = [audit_update(scheme, v, b, truthful=False) for v, b in y]
-        if aggregate(scheme, x, r) <= aggregate(scheme, y, r):
+        x_v, x_beta = audit_updates(scheme, x_v, x_beta, ())
+        y_v, y_beta = audit_updates(scheme, y_v, y_beta, range(y_size))
+        if sum(values(scheme, x_v, r, x_beta)) <= sum(values(scheme, y_v, r, y_beta)):
             last_violation = r
     return last_violation < horizon
 
@@ -199,9 +200,9 @@ class Property2Counterexample:
     rho_y_after: float
 
 
-def _count_multisets(values: Sequence, max_set_size: int):
+def _count_multisets(candidates: Sequence, max_set_size: int):
     for size in range(1, max_set_size + 1):
-        yield from itertools.combinations_with_replacement(values, size)
+        yield from itertools.combinations_with_replacement(candidates, size)
 
 
 def find_property2_counterexample(scheme, max_aud: int = 10,
@@ -218,9 +219,10 @@ def find_property2_counterexample(scheme, max_aud: int = 10,
         raise ValueError("bounds must be at least 1")
     for aud, candidates in scheme.property2_candidates(max_aud, beta_depth):
         sets = list(_count_multisets(candidates, max_set_size))
-        before = [aggregate(scheme, m, aud) for m in sets]
-        after = [aggregate(scheme, [audit_update(scheme, v, b, truthful=True)
-                                    for v, b in m], aud + 1) for m in sets]
+        rosters = [tuple(zip(*m)) for m in sets]
+        before = [sum(values(scheme, v, aud, beta)) for v, beta in rosters]
+        rosters = [audit_updates(scheme, v, beta, ()) for v, beta in rosters]
+        after = [sum(values(scheme, v, aud + 1, beta)) for v, beta in rosters]
         before_col, after_col = np.array(before), np.array(after)
         for x in range(len(sets)):
             flips = np.flatnonzero((before[x] > before_col) & (after[x] <= after_col))

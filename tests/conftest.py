@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import io
+import math
 
 import pytest
 
@@ -32,6 +33,61 @@ def verify_stdout(suite):
 @pytest.fixture
 def three_workers():
     return make_config()
+
+
+# -- the reference reputation rules: one worker at a time ----------------------
+# The scalar rules `repsim.reputation` applied per worker before its rules
+# took whole rosters, kept unchanged (the methods as functions of the scheme)
+# so the roster-wide `values` and `audit_updates` are checked bit for bit.
+
+def _keep_beta(self, beta: float, truthful: bool) -> float:
+    return beta
+
+
+def _type1_formula(self, v: int, aud: int, beta: float) -> float:
+    return (v + 1) / (aud + 2)
+
+
+def _type2_formula(self, v: int, aud: int, beta: float) -> float:
+    return self.epsilon ** (aud - v)
+
+
+def _type3_formula(self, v: int, aud: int, beta: float) -> float:
+    if beta > self.error_bound:
+        return 0.001
+    return 1.0 - math.sqrt(beta / self.error_bound)
+
+
+def _type3_beta_update(self, beta: float, truthful: bool) -> float:
+    if not truthful:
+        return beta + self.increment
+    return beta * self.decay if self.decay else 0.0   # an inf beta: inf * 0 is NaN
+
+
+def _none_formula(self, v: int, aud: int, beta: float) -> float:
+    return 0.5
+
+
+REFERENCE_FORMULA = {rep.Type1: _type1_formula, rep.Type2: _type2_formula,
+                     rep.Type3: _type3_formula, rep.NoReputation: _none_formula}
+REFERENCE_BETA_UPDATE = {rep.Type3: _type3_beta_update}
+
+
+def reference_value(scheme, v: int, aud: int, beta: float = 0.0) -> float:
+    """Reputation of a single worker given its audit counts.
+
+    Before the first audit every scheme reports 0.5, matching the uniform
+    initialization of the master's algorithm.
+    """
+    if v > aud:
+        raise ValueError(f"validation count {v} exceeds audit count {aud}")
+    return 0.5 if aud == 0 else REFERENCE_FORMULA[type(scheme)](scheme, v, aud, beta)
+
+
+def reference_audit_update(scheme, v: int, beta: float, truthful: bool):
+    """Post-audit counts for one worker: returns (v', beta')."""
+    return v + truthful, REFERENCE_BETA_UPDATE.get(type(scheme), _keep_beta)(scheme, beta,
+                                                                            truthful)
 
 
 # -- the test reference: one round stepped from a whole state -------------------

@@ -71,7 +71,7 @@ def test_reputation_formulas_match_reference_grid():
     cases = reference_cases()
     assert len(cases) >= 50
     for scheme, v, aud, beta, expected in cases:
-        got = rep.value(scheme, v, aud, beta=beta)
+        (got,) = rep.values(scheme, (v,), aud, (beta,))
         assert abs(got - expected) < EXACT, (scheme, v, aud, beta)
 
 

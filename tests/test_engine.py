@@ -126,7 +126,7 @@ class TestUnderflowedVote:
         state = ExactState(p_a=0.5, aud=1200, p_c=(0.5,) * 3, v=(5, 3, 3),
                            beta=(0.0,) * 3)
         # every reputation underflows, but worker 0's stands 4 to 1 over the others
-        assert rep.value(rep.Type2(), 5, 1200) == 0.0
+        assert rep.values(rep.Type2(), state.v, state.aud, state.beta) == (0.0,) * 3
         assert weighted_majority(rep.Type2(), state, frozenset({1, 2})) == (
             1.0, 0.5, False)
         assert weighted_majority(rep.Type2(), state, frozenset({0, 1, 2})) == (
@@ -212,19 +212,16 @@ def test_run_invariants(n, p_c0, scheme, seed):
 
 
 def assert_kernel_invariants(cfg, trace):
-    """Per round: v <= aud, and reputations_after equal to rep.value of the
+    """Per round: v <= aud, and reputations_after equal to rep.values of the
     counts rebuilt from the trace's audited rounds and cheater sets."""
     scheme, n = cfg.scheme, cfg.n
-    v, beta, aud = [0] * n, [scheme.beta_init] * n, 0
+    v, beta, aud = (0,) * n, (scheme.beta_init,) * n, 0
     for o in trace:
         if o.audited:
             aud += 1
-            for i in range(n):
-                v[i], beta[i] = rep.audit_update(scheme, v[i], beta[i],
-                                                 truthful=i not in o.cheater_set)
+            v, beta = rep.audit_updates(scheme, v, beta, o.cheater_set)
         assert all(v_i <= aud for v_i in v)
-        assert o.reputations_after == tuple(rep.value(scheme, v[i], aud, beta[i])
-                                            for i in range(n))
+        assert o.reputations_after == rep.values(scheme, v, aud, beta)
 
 
 #: Every scheme at its defaults and at its bounds: type 2 with epsilon next to

@@ -3,15 +3,18 @@
 Six runs cover every scheme, a partial-coverage roster with punishment, the
 round-500 role change and a tie-heavy roster (four altruistic against four
 malicious workers, no reputation), each at its full horizon with seeds 1 and
-2.  A change that alters one byte of a trace, a summary or a manifest fails
-here; record new hashes only with a change that documents why the
+2.  One more case hashes every `RoundOutcome` field of all 84 presets at
+seed 1, so the rosters those six runs leave out are guarded too.  A change
+that alters one byte of a trace, a summary or a manifest, or one bit of an
+outcome, fails here; record new hashes only with a change that documents why the
 simulator's output moved.
 """
 import hashlib
 
 import pytest
 
-from repsim import cli
+from repsim import cli, scenarios
+from repsim.engine import run_simulation
 
 TIES_CONFIG = ("scheme = none\n"
                "worker = altruistic x4\n"
@@ -94,3 +97,36 @@ def test_run_output_matches_golden_hashes(name, tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.iterdir())}
     assert got == GOLDEN[name]
+
+
+def _outcome_text(trace) -> str:
+    """Every RoundOutcome field of a trace, one round per line, floats by
+    `float.hex` and sets sorted.  Rounds of one settled branch share their
+    tuples, so each tuple is written once per identity (the trace keeps it
+    alive, so no id is reused)."""
+    written = {}
+
+    def hexes(values):
+        text = written.get(id(values))
+        if text is None:
+            text = written[id(values)] = ",".join(map(float.hex, values))
+        return text
+
+    return "".join([
+        f"{o.round}|{sorted(o.cheater_set)}|{o.audited}|{sorted(o.majority_set)}|"
+        f"{o.tie_broken}|{o.accepted_correct}|{hexes(o.payoffs)}|"
+        f"{hexes(o.reputations_after)}|{o.p_a_after.hex()}|{hexes(o.p_c_after)}\n"
+        for o in trace])
+
+
+CATALOG_SHA256 = "69483b904b7d77959fab4a827a3f560598183bc04504c5d571b64c11cb9d115d"
+
+
+def test_catalog_outcomes_match_golden_hash():
+    """Every field of every round of the 84 presets at seed 1 and their full
+    horizon: the rosters the file-level hashes above leave out."""
+    digest = hashlib.sha256()
+    for name in scenarios.list_scenarios():
+        digest.update(f"{name}\n".encode())
+        digest.update(_outcome_text(run_simulation(scenarios.get_scenario(name), 1)).encode())
+    assert digest.hexdigest() == CATALOG_SHA256

@@ -231,7 +231,8 @@ class TestReferenceAgreement:
         for n in (3, 8):   # at 8, the fallback runs for all 256 cheater sets
             config, state = underflowed_state(n)
             assert len(oracle.cheater_set_probabilities(state)) == 2 ** n
-            assert all(rep.value(config.scheme, v, state.aud + 1) == 0.0 for v in state.v)
+            assert all(r == 0.0 for r in rep.values(config.scheme, state.v, state.aud + 1,
+                                                    state.beta))
             assert_matches_reference(config, state)
             dist = oracle.enumerate_transitions(config, state)
             # the camp holding worker 1 wins every unaudited vote

@@ -1,8 +1,11 @@
 
 import itertools
+import math
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from conftest import reference_audit_update, reference_value
+from hypothesis import example, given, strategies as st
 
 import repsim
 from repsim import model, reputation as rep
@@ -42,60 +45,129 @@ def test_one_config_error_class():
 class TestValue:
     def test_all_schemes_start_at_half(self):
         for name in rep.SCHEME_NAMES:
-            assert rep.value(rep.scheme_from_name(name), 0, 0, beta=0.1) == 0.5
+            assert rep.values(rep.scheme_from_name(name), (0, 0), 0, (0.1, 0.0)) == (0.5, 0.5)
 
     def test_linear_ratio(self):
-        assert abs(rep.value(rep.Type1(), 3, 7) - 4 / 9) < TOL
-        assert abs(rep.value(rep.Type1(), 0, 5) - 1 / 7) < TOL
+        (got,) = rep.values(rep.Type1(), (3,), 7, (0.0,))
+        assert abs(got - 4 / 9) < TOL
+        (got,) = rep.values(rep.Type1(), (0,), 5, (0.0,))
+        assert abs(got - 1 / 7) < TOL
 
     def test_exponential(self):
-        assert abs(rep.value(rep.Type2(), 2, 5) - 0.125) < TOL
-        assert abs(rep.value(rep.Type2(epsilon=0.3), 1, 4) - 0.027) < TOL
-        assert rep.value(rep.Type2(), 5, 5) == 1.0
+        partial, full = rep.values(rep.Type2(), (2, 5), 5, (0.0, 0.0))
+        assert abs(partial - 0.125) < TOL
+        (got,) = rep.values(rep.Type2(epsilon=0.3), (1,), 4, (0.0,))
+        assert abs(got - 0.027) < TOL
+        assert full == 1.0
 
     def test_error_rate_pinned_above_bound(self):
-        assert rep.value(rep.Type3(), 0, 1, beta=0.0500000001) == 0.001
+        assert rep.values(rep.Type3(), (0,), 1, (0.0500000001,)) == (0.001,)
 
     def test_error_rate_after_clean_streak(self):
         # beta = 0.1 * 0.95^14 is the first value below the 0.05 bound
         beta = 0.1 * 0.95 ** 14
         assert abs(beta - 0.04876749791155296) < TOL
-        got = rep.value(rep.Type3(), 14, 14, beta=beta)
+        (got,) = rep.values(rep.Type3(), (14,), 14, (beta,))
         assert abs(got - 0.012401924753263294) < TOL
-        assert rep.value(rep.Type3(), 13, 13, beta=0.1 * 0.95 ** 13) == 0.001
+        assert rep.values(rep.Type3(), (13,), 13, (0.1 * 0.95 ** 13,)) == (0.001,)
 
     def test_v_above_aud_rejected(self):
-        with pytest.raises(ValueError):
-            rep.value(rep.Type1(), 3, 2)
+        with pytest.raises(ValueError, match="validation count 3 exceeds audit count 2"):
+            rep.values(rep.Type1(), (1, 3, 4), 2, (0.0,) * 3)
 
     @given(aud=st.integers(0, 60), deficit=st.integers(0, 60),
            beta=st.floats(0.0, 1.0))
     def test_values_stay_in_unit_interval(self, aud, deficit, beta):
         v = max(0, aud - deficit)
         for name in rep.SCHEME_NAMES:
-            val = rep.value(rep.scheme_from_name(name), v, aud, beta=beta)
-            assert 0.0 <= val <= 1.0
+            got = rep.values(rep.scheme_from_name(name), (v, aud), aud, (beta, 0.0))
+            assert all(0.0 <= val <= 1.0 for val in got)
 
     @given(aud=st.integers(1, 40), shift=st.integers(0, 20),
            deficit=st.integers(0, 12))
     def test_exponential_depends_only_on_deficit(self, aud, shift, deficit):
         aud = max(aud, deficit)
-        a = rep.value(rep.Type2(), aud - deficit, aud)
-        b = rep.value(rep.Type2(), aud + shift - deficit, aud + shift)
+        (a,) = rep.values(rep.Type2(), (aud - deficit,), aud, (0.0,))
+        (b,) = rep.values(rep.Type2(), (aud + shift - deficit,), aud + shift, (0.0,))
         assert abs(a - b) < TOL
 
 
 def test_audit_update():
-    assert rep.audit_update(rep.Type1(), 3, 0.0, truthful=True) == (4, 0.0)
-    assert rep.audit_update(rep.Type1(), 3, 0.0, truthful=False) == (3, 0.0)
-    v, beta = rep.audit_update(rep.Type3(), 0, 0.1, truthful=True)
-    assert (v, abs(beta - 0.095) < TOL) == (1, True)
-    v, beta = rep.audit_update(rep.Type3(), 0, 0.1, truthful=False)
-    assert (v, abs(beta - 0.2) < TOL) == (0, True)
+    assert rep.audit_updates(rep.Type1(), (3, 3), (0.0, 0.0), {1}) == ((4, 3), (0.0, 0.0))
+    v, beta = rep.audit_updates(rep.Type3(), (0, 0), (0.1, 0.1), {1})
+    assert v == (1, 0)
+    assert abs(beta[0] - 0.095) < TOL and abs(beta[1] - 0.2) < TOL
 
 
 def test_aggregate_empty_is_zero():
-    assert rep.aggregate(rep.Type2(), [], 5) == 0.0
+    assert rep.values(rep.Type2(), (), 5, ()) == ()
+    assert sum(rep.values(rep.Type2(), (), 5, ())) == 0.0
+
+
+# -- the roster-wide rules against the per-worker reference (conftest) ---------
+
+#: Type 3 error rates at the edges: none, at the bound, overflowing on the
+#: next cheat, and overflowed.
+EDGE_BETAS = [0.0, 0.05, 1e308, math.inf]
+
+
+@st.composite
+def schemes(draw):
+    kind = draw(st.sampled_from(rep.SCHEME_NAMES))
+    if kind == "type2":
+        return rep.Type2(epsilon=draw(st.sampled_from([0.5, 0.3, math.nextafter(1.0, 0.0)])
+                                      | st.floats(1e-3, 0.999)))
+    if kind == "type3":
+        return rep.Type3(error_bound=draw(st.sampled_from([0.05, 1.0]) | st.floats(1e-6, 2.0)),
+                         decay=draw(st.sampled_from([0.0, 0.95, 1.0]) | st.floats(0.0, 2.0)),
+                         increment=draw(st.sampled_from([0.1, 1e308]) | st.floats(0.0, 1.0)))
+    return rep.scheme_from_name(kind)
+
+
+@st.composite
+def rosters(draw):
+    """(scheme, v, aud, beta, cheaters) for 1-10 workers and aud up to 3,000
+    (type 2 deficits past 1,075 underflow to 0.0); sometimes one count
+    exceeds aud."""
+    scheme = draw(schemes())
+    n = draw(st.integers(1, 10))
+    aud = draw(st.sampled_from([0, 1, 1075, 1076, 3000]) | st.integers(0, 3000))
+    v = draw(st.lists(st.sampled_from([0, aud]) | st.integers(0, aud),
+                      min_size=n, max_size=n))
+    if draw(st.booleans()):
+        v[draw(st.integers(0, n - 1))] = aud + draw(st.integers(1, 3))
+    edge = EDGE_BETAS + [scheme.error_bound] if isinstance(scheme, rep.Type3) else EDGE_BETAS
+    beta = draw(st.lists(st.sampled_from(edge) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+    cheaters = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    return scheme, tuple(v), aud, tuple(beta), cheaters
+
+
+def hexes(floats):
+    return [float.hex(x) for x in floats]
+
+
+@given(rosters())
+@example((rep.Type1(), (1,), 0, (0.0,), frozenset()))             # v > aud = 0
+@example((rep.Type2(), (0, 4, 0), 2, (0.0,) * 3, frozenset({1})))  # v > aud, not first
+@example((rep.Type2(), (0, 1924, 3000), 3000, (0.0,) * 3, frozenset()))
+@example((rep.Type3(decay=0.0), (0, 0, 0, 0), 1, (0.0, 0.05, 1e308, math.inf),
+          frozenset({2})))
+def test_roster_rules_match_per_worker_reference(case):
+    """`values` and `audit_updates` equal the per-worker rules in conftest,
+    float for float by `float.hex`, and raise where they raise."""
+    scheme, v, aud, beta, cheaters = case
+    try:
+        want = [reference_value(scheme, x, aud, b) for x, b in zip(v, beta)]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            rep.values(scheme, v, aud, beta)
+    else:
+        assert hexes(rep.values(scheme, v, aud, beta)) == hexes(want)
+    want_v, want_beta = zip(*(reference_audit_update(scheme, x, b, truthful=i not in cheaters)
+                              for i, (x, b) in enumerate(zip(v, beta))))
+    got_v, got_beta = rep.audit_updates(scheme, v, beta, cheaters)
+    assert got_v == want_v and all(type(x) is int for x in got_v)
+    assert hexes(got_beta) == hexes(want_beta)
 
 
 class TestProperty1:
@@ -129,11 +201,10 @@ class TestProperty2:
     def test_known_linear_ratio_flip(self):
         # two workers at 2/3 beat three at 1/2; one clean audit levels them
         scheme = rep.Type1()
-        x, y = [(1, 0.0)] * 2, [(0, 0.0)] * 3
-        assert rep.aggregate(scheme, x, 1) > rep.aggregate(scheme, y, 1)
-        x2 = [rep.audit_update(scheme, v, b, truthful=True) for v, b in x]
-        y2 = [rep.audit_update(scheme, v, b, truthful=True) for v, b in y]
-        assert rep.aggregate(scheme, x2, 2) <= rep.aggregate(scheme, y2, 2)
+        x, y = ((1, 1), (0.0,) * 2), ((0, 0, 0), (0.0,) * 3)
+        assert sum(rep.values(scheme, x[0], 1, x[1])) > sum(rep.values(scheme, y[0], 1, y[1]))
+        x2, y2 = (rep.audit_updates(scheme, *roster, ()) for roster in (x, y))
+        assert sum(rep.values(scheme, x2[0], 2, x2[1])) <= sum(rep.values(scheme, y2[0], 2, y2[1]))
 
     def test_error_rate_flips(self):
         hit = rep.find_property2_counterexample(rep.Type3())
@@ -154,15 +225,22 @@ class TestProperty2:
         assert repr(hit) == repr(want)
 
 
+def _aggregate(scheme, aud, counts, audited=False):
+    """The summed reputation of per-worker (v, beta) `counts`, after one
+    all-truthful audit if `audited`."""
+    v, beta = zip(*counts)
+    if audited:
+        (v, beta), aud = rep.audit_updates(scheme, v, beta, ()), aud + 1
+    return sum(rep.values(scheme, v, aud, beta))
+
+
 def _reference_flip(scheme, aud, x_counts, y_counts):
-    rho_x = rep.aggregate(scheme, x_counts, aud)
-    rho_y = rep.aggregate(scheme, y_counts, aud)
+    rho_x = _aggregate(scheme, aud, x_counts)
+    rho_y = _aggregate(scheme, aud, y_counts)
     if rho_x <= rho_y:
         return None
-    x_after = [rep.audit_update(scheme, v, b, truthful=True) for v, b in x_counts]
-    y_after = [rep.audit_update(scheme, v, b, truthful=True) for v, b in y_counts]
-    rho_x_after = rep.aggregate(scheme, x_after, aud + 1)
-    rho_y_after = rep.aggregate(scheme, y_after, aud + 1)
+    rho_x_after = _aggregate(scheme, aud, x_counts, audited=True)
+    rho_y_after = _aggregate(scheme, aud, y_counts, audited=True)
     if rho_x_after > rho_y_after:
         return None
     return rep.Property2Counterexample(aud, tuple(x_counts), tuple(y_counts),
