@@ -17,7 +17,6 @@ import argparse
 import functools
 import sys
 from dataclasses import replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,8 @@ from . import oracle, reputation as rep, scenarios
 from .model import SETTINGS, ConfigError, SystemConfig, located
 
 FMT = "%.10g"
+#: Rows `_write_rows` joins and writes at a time.
+CHUNK = 512
 
 
 #: Text of a 0/1 field, indexed by the field.
@@ -48,9 +49,13 @@ def _texts(floats: np.ndarray) -> np.ndarray:
 
 
 def _write_rows(path: Path, header: list, columns: list):
-    """The header, then one line per row of the text columns side by side."""
-    lines = map(",".join, np.column_stack(columns).tolist())
-    path.write_text("\n".join(chain([",".join(header)], lines, [""])))
+    """The header, then one line per row of the text columns side by side,
+    `CHUNK` rows at a time through one open file."""
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), CHUNK):
+            rows = np.column_stack([c[start:start + CHUNK] for c in columns]).tolist()
+            out.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def write_trace(path: Path, seed: int, cols: dict):

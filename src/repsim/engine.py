@@ -3,6 +3,8 @@
 `_draw_branch` turns one round's uniforms into a branch (cheat pattern, audit
 flag, vote) from the vote weights, which `reread_underflow` reads off the
 reputations each time they change: at the start of a run and in `_audit`.
+When every p_c is 0 or 1 no uniform can move the cheat pattern, so the draw
+step advances the generator past the strategy uniforms (`fixed_pattern`).
 `run_simulation` steps the chain from it, settling each branch once per
 roster and updating p_c only when it differs from the branch's last input;
 the oracle's sampler counts its branches from one fixed state.  The chain
@@ -29,6 +31,11 @@ def decide_strategies(p_c, draw) -> tuple:
     return tuple([draw() < p for p in p_c])
 
 
+def fixed_pattern(p_c):
+    """`decide_strategies`' pattern for any uniforms if each p_c is 0 or 1, else None."""
+    return tuple([p == 1 for p in p_c]) if {0, 1}.issuperset(p_c) else None
+
+
 def reread_underflow(scheme, v, beta, reps) -> tuple:
     """The vote weights of `reps`: `reps`, unless every one reads 0.0 (type 2
     after ~1075 audits).  No reputation is negative and the two camps cover
@@ -44,23 +51,28 @@ def reread_underflow(scheme, v, beta, reps) -> tuple:
     return reps if any(reps) else (1.0,) * len(reps)
 
 
-def _draw_branch(draw, p_a, p_c, weights, camps, votes):
-    """One round's branch from the uniforms of `draw`.
+def _draw_branch(rng, p_a, p_c, pattern, weights, camps, votes):
+    """One round's branch from the uniforms of the `random.Random` `rng`.
 
     Draw order: n strategy uniforms (ascending index), one audit uniform,
-    then one tie uniform only if the vote ties.  `camps` keeps each cheat
-    pattern's (cheater set, honest indices, cheater indices, settled
-    branches); `votes` keeps each pattern's camp sums of `weights`, added in
-    index order (see `reputation`), so it must be emptied when they change.
+    then one tie uniform only if the vote ties; a `fixed_pattern(p_c)`
+    `pattern` skips the first n with one `getrandbits(64 * n)`, the 2n
+    32-bit words of n `random()` calls.  `camps` keeps each cheat pattern's
+    (cheater set, honest indices, cheater indices, settled branches);
+    `votes` keeps each pattern's camp sums of `weights`, added in index
+    order (see `reputation`), so it must be emptied when they change.
     Returns (camps entry, audited, tie, honest_win).
     """
-    pattern = decide_strategies(p_c, draw)
+    if pattern is None:
+        pattern = decide_strategies(p_c, rng.random)
+    else:
+        rng.getrandbits(64 * len(p_c))
     entry = camps.get(pattern)
     if entry is None:
         entry = camps[pattern] = (frozenset(i for i, c in enumerate(pattern) if c),
                                   [i for i, c in enumerate(pattern) if not c],
                                   [i for i, c in enumerate(pattern) if c], {})
-    if draw() < p_a:
+    if rng.random() < p_a:
         return entry, True, False, True
     rho = votes.get(pattern)
     if rho is None:
@@ -68,7 +80,7 @@ def _draw_branch(draw, p_a, p_c, weights, camps, votes):
                                 for members in entry[1:3]]
     rho_honest, rho_cheat = rho
     tie = rho_honest == rho_cheat
-    return entry, False, tie, draw() < 0.5 if tie else rho_honest > rho_cheat
+    return entry, False, tie, rng.random() < 0.5 if tie else rho_honest > rho_cheat
 
 
 def master_update(config: SystemConfig, p_a: float, rho_cheat: float,
@@ -147,39 +159,42 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
     not the input: `clamp` maps -0.0 and 0.0 alike to 0.0, and no p_c is
     NaN.  The vote weights are read when the reputations change, and camp
     sums are kept per cheat pattern until an audit changes a weight; an
-    audit that leaves them equal keeps the old tuple and its sums.  No
-    reputation is -0.0 and a NaN never equals itself, so equal weights are
-    the same floats, added in the same order.
+    audit that leaves them equal keeps the old tuple and its sums, and one
+    that leaves the reputations equal keeps the old reputation tuple.  No
+    reputation is -0.0 and a NaN never equals itself, so equal tuples hold
+    the same floats, and equal weights are added in the same order.
+    `fixed_pattern` is read when p_c is set: at the start, at a role change
+    and beside each `worker_update` output of a settled branch.
     Per round are left `_draw_branch`, `_audit` and p_c off a fixed point.
     """
     config.validate()
-    draw = random.Random(seed).random
+    rng = random.Random(seed)
     scheme = config.scheme
     state = config.initial_state()
     p_a, aud, p_c, v, beta = state.p_a, state.aud, state.p_c, state.v, state.beta
     reputations = rep.values(scheme, v, aud, beta)
     weights = reread_underflow(scheme, v, beta, reputations)
     change_rounds = {rc.round for rc in config.role_changes}
-    table, votes, trace = {}, {}, []
+    table, votes, trace, fixed = {}, {}, [], fixed_pattern(p_c)
     for r in range(config.horizon):
         if r in change_rounds:
             config, p_c = apply_role_changes(config, p_c, r)
-            table = {}
+            table, fixed = {}, fixed_pattern(p_c)
         (cheaters, _, cheat, branches), audited, tie, honest_win = _draw_branch(
-            draw, p_a, p_c, weights, table, votes)
+            rng, p_a, p_c, fixed, weights, table, votes)
         if audited:
-            p_a, aud, v, beta, reputations, new = _audit(config, p_a, aud, v, beta,
-                                                         cheaters, cheat)
+            p_a, aud, v, beta, reps, new = _audit(config, p_a, aud, v, beta, cheaters, cheat)
+            reputations = reputations if reps == reputations else reps
             if new != weights:
                 weights, votes = new, {}
         settled = branches.get((audited, honest_win))
         if settled is None:
             settled = branches[audited, honest_win] = [
-                *settle(config, cheaters, audited, honest_win), None, None]
-        majority, payoffs, steps, last_in, _ = settled
-        if p_c != last_in:
-            settled[3:] = p_c, worker_update(p_c, steps)
-        p_c = settled[4]
+                *settle(config, cheaters, audited, honest_win), None, None, None]
+        if p_c != settled[3]:
+            out = worker_update(p_c, settled[2])
+            settled[3:] = p_c, out, fixed_pattern(out)
+        majority, payoffs, _, _, p_c, fixed = settled
         trace.append(RoundOutcome(r, cheaters, audited, majority, tie, honest_win,
                                   payoffs, reputations, p_a, p_c))
     return trace

@@ -24,20 +24,30 @@ def reputation_ratio(rho: np.ndarray, cheated: np.ndarray) -> np.ndarray:
 
 
 def trace_columns(trace: Sequence, n: int) -> dict:
-    """A list of RoundOutcome as numpy columns, (rounds,) or (rounds, n) each."""
+    """A list of RoundOutcome as numpy columns, (rounds,) or (rounds, n) each.
+    Each distinct p_c tuple, reputation tuple and cheater set (by `id`: rounds
+    share them) is read once, and its row fanned out to the rounds holding it."""
     rounds = len(trace)
 
     def per_round(attr, dtype):
         return np.fromiter(map(attrgetter(attr), trace), dtype, rounds)
 
-    def per_worker(attr):
-        flat = chain.from_iterable(map(attrgetter(attr), trace))
-        return np.fromiter(flat, float, rounds * n).reshape(rounds, n)
+    def distinct(attr):   # (the distinct objects, each round's index among them)
+        objs = list(map(attrgetter(attr), trace))
+        _, first, inverse = np.unique(np.fromiter(map(id, objs), np.uint64, rounds),
+                                      return_index=True, return_inverse=True)
+        return [objs[i] for i in first.tolist()], inverse
 
-    sets = [o.cheater_set for o in trace]
-    cheated = np.zeros((rounds, n), dtype=bool)
-    cheated[np.repeat(np.arange(rounds), list(map(len, sets))),
+    def per_worker(attr):
+        rows, inverse = distinct(attr)
+        flat = chain.from_iterable(rows)
+        return np.fromiter(flat, float, len(rows) * n).reshape(len(rows), n)[inverse]
+
+    sets, inverse = distinct("cheater_set")
+    cheated = np.zeros((len(sets), n), dtype=bool)
+    cheated[np.repeat(np.arange(len(sets)), list(map(len, sets))),
             list(chain.from_iterable(sets))] = True
+    cheated = cheated[inverse]
     rho = per_worker("reputations_after")
     return {"round": per_round("round", int), "audited": per_round("audited", bool),
             "correct": per_round("accepted_correct", bool),

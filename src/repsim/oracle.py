@@ -255,17 +255,17 @@ def sample_round_keys(config: SystemConfig, state: ExactState, samples: int,
     """Engine one-round outcomes from `state`, counted by Branch.
 
     Every sample is one `engine._draw_branch` from `state`, the step each
-    round of `engine.run_simulation` draws; the state never moves, so its
-    vote weights and camp sums are computed once and nothing is settled.
+    round of `engine.run_simulation` draws; the state never moves, so its vote
+    weights, camp sums and fixed pattern are read once and nothing is settled.
     """
     state = state.canonical()
-    draw = random.Random(seed).random
+    rng, fixed = random.Random(seed), engine.fixed_pattern(state.p_c)
     reputations = rep.values(config.scheme, state.v, state.aud, state.beta)
     weights = engine.reread_underflow(config.scheme, state.v, state.beta, reputations)
     camps, votes, counts = {}, {}, {}
     for _ in range(samples):
         entry, audited, tie, honest_win = engine._draw_branch(
-            draw, state.p_a, state.p_c, weights, camps, votes)
+            rng, state.p_a, state.p_c, fixed, weights, camps, votes)
         key = (entry[0], audited, honest_win if tie else None)
         counts[key] = counts.get(key, 0) + 1
     return {Branch(*key): count for key, count in counts.items()}

@@ -2,10 +2,14 @@ import contextlib
 import functools
 import io
 import math
+from itertools import chain
+from operator import attrgetter
 
+import numpy as np
 import pytest
 
 from repsim import cli, engine, reputation as rep
+from repsim.metrics import reputation_ratio
 from repsim.model import ExactState, RoundOutcome, SystemConfig, WorkerSpec, WorkerType
 from repsim.oracle import Branch
 from repsim.reputation import scheme_from_name
@@ -152,3 +156,31 @@ def run_round(config: SystemConfig, state: ExactState, rng):
     cheaters = frozenset(i for i, p in enumerate(state.p_c) if rng.random() < p)
     audited = rng.random() < state.p_a
     return round_successor(config, state, cheaters, audited, lambda: rng.random() < 0.5)
+
+
+# -- the reference trace columns: one read per round ---------------------------
+# `metrics.trace_columns` as it read every round's tuples and cheater set
+# before it read each shared object once, kept unchanged so the new one is
+# checked byte for byte.
+
+def reference_trace_columns(trace, n: int) -> dict:
+    """A list of RoundOutcome as numpy columns, (rounds,) or (rounds, n) each."""
+    rounds = len(trace)
+
+    def per_round(attr, dtype):
+        return np.fromiter(map(attrgetter(attr), trace), dtype, rounds)
+
+    def per_worker(attr):
+        flat = chain.from_iterable(map(attrgetter(attr), trace))
+        return np.fromiter(flat, float, rounds * n).reshape(rounds, n)
+
+    sets = [o.cheater_set for o in trace]
+    cheated = np.zeros((rounds, n), dtype=bool)
+    cheated[np.repeat(np.arange(rounds), list(map(len, sets))),
+            list(chain.from_iterable(sets))] = True
+    rho = per_worker("reputations_after")
+    return {"round": per_round("round", int), "audited": per_round("audited", bool),
+            "correct": per_round("accepted_correct", bool),
+            "tie": per_round("tie_broken", bool), "p_a": per_round("p_a_after", float),
+            "p_c": per_worker("p_c_after"), "rho": rho, "cheated": cheated,
+            "reputation_ratio": reputation_ratio(rho, cheated)}

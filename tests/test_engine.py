@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repsim import engine, oracle, reputation as rep, scenarios
-from repsim.model import SETTINGS, ExactState, RoleChange, SystemConfig, WorkerSpec, WorkerType
+from repsim.model import (MAX_ROSTER, SETTINGS, ExactState, RoleChange, SystemConfig,
+                          WorkerSpec, WorkerType)
 from conftest import make_config, round_successor, run_round, weighted_majority
 
 TOL = 1e-12
@@ -138,7 +139,8 @@ def draw_branch(cfg, rng):
     s = cfg.initial_state()
     weights = engine.reread_underflow(cfg.scheme, s.v, s.beta,
                                       rep.values(cfg.scheme, s.v, s.aud, s.beta))
-    return engine._draw_branch(rng.random, s.p_a, s.p_c, weights, {}, {})
+    return engine._draw_branch(rng, s.p_a, s.p_c, engine.fixed_pattern(s.p_c), weights,
+                               {}, {})
 
 
 class TestRoundRng:
@@ -352,16 +354,96 @@ def test_kernel_invariants_constant_weights(cfg):
     assert_same_trace(trace, stepped_trace(cfg, 1))
 
 
+def count_strategy_draws(monkeypatch):
+    """The p_c of every `decide_strategies` call from here on."""
+    calls, decide = [], engine.decide_strategies
+    monkeypatch.setattr(engine, "decide_strategies",
+                        lambda p_c, draw: calls.append(p_c) or decide(p_c, draw))
+    return calls
+
+
 def test_fixed_points_skip_worker_update(monkeypatch):
-    # no worker learns, so each settled branch updates p_c once
+    # no worker learns, so each settled branch updates p_c once; every p_c
+    # is 0 or 1, so no round draws a strategy
     cfg, calls = alt4_mal4_none(2000), []
     update = engine.worker_update
     monkeypatch.setattr(engine, "worker_update", lambda *args: calls.append(args) or update(*args))
+    draws = count_strategy_draws(monkeypatch)
     trace = engine.run_simulation(cfg, seed=1)
     branches = {(o.cheater_set, o.audited, o.accepted_correct) for o in trace}
     assert 0 < len(calls) <= len(branches)
+    assert draws == []
     assert sum(o.tie_broken for o in trace) > 500
     assert_same_trace(trace, stepped_trace(cfg, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, MAX_ROSTER), seed=st.integers(0, 2 ** 64))
+@example(n=1, seed=0)
+@example(n=MAX_ROSTER, seed=1)
+def test_getrandbits_skips_the_strategy_uniforms(n, seed):
+    # the fixed-pattern draw advances the generator as far as n random() calls
+    skipped, drawn = random.Random(seed), random.Random(seed)
+    skipped.getrandbits(64 * n)
+    for _ in range(n):
+        drawn.random()
+    assert skipped.getstate() == drawn.getstate()
+
+
+#: The cheat probabilities that fix a worker's strategy, -0.0 and the int 1
+#: among them.
+EXTREMES = st.sampled_from([0.0, -0.0, 1.0, 1])
+UNIFORMS = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, math.nextafter(1.0, 0.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(p_c=st.lists(EXTREMES, min_size=1, max_size=12), data=st.data())
+def test_fixed_pattern_is_every_uniforms_pattern(p_c, data):
+    uniforms = data.draw(st.lists(UNIFORMS, min_size=len(p_c), max_size=len(p_c)))
+    assert engine.fixed_pattern(tuple(p_c)) == engine.decide_strategies(
+        tuple(p_c), iter(uniforms).__next__)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p_c=st.lists(EXTREMES, max_size=11), inner=st.floats(0.0, 1.0, exclude_min=True,
+                                                            exclude_max=True),
+       data=st.data())
+def test_fixed_pattern_none_inside_unit_interval(p_c, inner, data):
+    p_c.insert(data.draw(st.integers(0, len(p_c))), inner)
+    assert engine.fixed_pattern(tuple(p_c)) is None
+
+
+def test_strategies_drawn_until_rational_workers_settle(monkeypatch):
+    cfg = scenarios.get_scenario("mal4-rat5-type2")
+    reference = stepped_trace(cfg, 1)
+    calls = count_strategy_draws(monkeypatch)
+    trace = engine.run_simulation(cfg, seed=1)
+    assert_same_trace(trace, reference)
+    # the p_c each round draws from; the rational workers settle at `settled`
+    entering = [cfg.initial_state().p_c] + [o.p_c_after for o in trace[:-1]]
+    free = [engine.fixed_pattern(p_c) is None for p_c in entering]
+    settled = max(r for r, f in enumerate(free) if f) + 1
+    assert 0 < settled < cfg.horizon // 2
+    assert calls == [p_c for p_c, f in zip(entering, free) if f]
+
+
+def test_fixed_pattern_read_when_p_c_is_set(monkeypatch):
+    # once at the start and once per worker_update output, never per round
+    cfg, patterns, updates = scenarios.get_scenario("dynamic500-type2"), [], []
+    fixed, update = engine.fixed_pattern, engine.worker_update
+    monkeypatch.setattr(engine, "fixed_pattern", lambda p_c: patterns.append(p_c) or fixed(p_c))
+    monkeypatch.setattr(engine, "worker_update", lambda *args: updates.append(args) or update(*args))
+    engine.run_simulation(cfg, seed=1)
+    changes = {rc.round for rc in cfg.role_changes}
+    assert changes and 0 < len(updates) < cfg.horizon
+    assert len(patterns) == 1 + len(changes) + len(updates)
+
+
+def test_equal_audit_keeps_reputation_tuple():
+    trace = engine.run_simulation(scenarios.get_scenario("dynamic500-none"), seed=1)
+    first = next(r for r, o in enumerate(trace) if o.audited)
+    assert first < 10
+    assert len({id(o.reputations_after) for o in trace[first:]}) == 1
 
 
 #: Values at the bounds of the float settings and the type 3 parameters:

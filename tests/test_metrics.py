@@ -2,11 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repsim import metrics, scenarios
+from repsim import engine, metrics, scenarios
 from repsim.model import RoundOutcome
-from conftest import make_config
+from conftest import make_config, reference_trace_columns
 
 
 def outcome(r=0, correct=True, p_a=0.01, audited=False,
@@ -104,3 +104,58 @@ def test_summarize_shapes_and_means():
     # per-round mean over seeds, spot-checked against the raw traces
     r0 = np.mean([traces[s][0].p_a_after for s in (1, 2, 3)])
     assert summary.p_a[0] == pytest.approx(r0)
+
+
+def assert_same_columns(trace, n):
+    got, want = metrics.trace_columns(trace, n), reference_trace_columns(trace, n)
+    assert got.keys() == want.keys()
+    for key, column in want.items():
+        assert got[key].dtype == column.dtype, key
+        assert got[key].shape == column.shape, key
+        assert got[key].tobytes() == column.tobytes(), key
+
+
+def test_columns_match_reference_on_catalog():
+    for name in scenarios.list_scenarios():
+        cfg = scenarios.get_scenario(name)
+        assert_same_columns(engine.run_simulation(cfg, seed=1), cfg.n)
+
+
+@st.composite
+def shared_traces(draw):
+    """Traces whose rounds pick their p_c tuples, reputation tuples and cheater
+    sets from small pools, either the pool's object or an equal copy."""
+    n = draw(st.integers(1, 4))
+    floats = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    vectors = st.lists(st.lists(floats, min_size=n, max_size=n).map(tuple),
+                       min_size=1, max_size=3)
+    p_cs, reps = draw(vectors), draw(vectors)
+    sets = draw(st.lists(st.sets(st.integers(0, n - 1)).map(frozenset), min_size=1,
+                         max_size=3))
+    sets.append(frozenset(range(n)))   # an all-cheat round
+
+    def pick(pool, copy):
+        obj = draw(st.sampled_from(pool))
+        return copy(obj) if draw(st.booleans()) else obj
+
+    trace = [RoundOutcome(round=r, cheater_set=pick(sets, lambda s: frozenset(set(s))),
+                          audited=draw(st.booleans()), majority_set=frozenset(),
+                          tie_broken=draw(st.booleans()), accepted_correct=draw(st.booleans()),
+                          payoffs=(), reputations_after=pick(reps, lambda t: tuple(list(t))),
+                          p_a_after=draw(floats), p_c_after=pick(p_cs, lambda t: tuple(list(t))))
+             for r in range(draw(st.integers(0, 30)))]
+    return trace, n
+
+
+#: One worker that cheats in every round of a shared set, at a shared p_c of -0.0.
+ALL_CHEAT, MINUS_ZERO = frozenset({0}), (-0.0,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_traces())
+@example(([], 2))
+@example(([outcome(0, cheaters=ALL_CHEAT, reps=(0.5,), p_cs=MINUS_ZERO),
+           outcome(1, cheaters=ALL_CHEAT, reps=(0.5,), p_cs=MINUS_ZERO),
+           outcome(2, reps=(0.0,), p_cs=[0.0]), outcome(3, reps=(0.5,), p_cs=[-0.0])], 1))
+def test_columns_match_reference_on_shared_objects(case):
+    assert_same_columns(*case)
