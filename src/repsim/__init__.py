@@ -1,7 +1,7 @@
 """Reputation-based master-worker computing: simulator and exact oracle."""
 
 from .model import (ConfigError, ExactState, RoleChange, RoundOutcome,
-                    SystemConfig, WorkerSpec, WorkerType, compute_payoffs)
+                    SystemConfig, WorkerSpec, WorkerType)
 from .reputation import (NoReputation, Type1, Type2, Type3,
                          check_property1, find_property2_counterexample,
                          scheme_from_name)

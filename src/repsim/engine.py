@@ -5,10 +5,11 @@ flag, vote) from the vote weights, which `reread_underflow` reads off the
 reputations each time they change: at the start of a run and in `_audit`.
 When every p_c is 0 or 1 no uniform can move the cheat pattern, so the draw
 step advances the generator past the strategy uniforms (`fixed_pattern`).
-`run_simulation` steps the chain from it, settling each branch once per
-roster and updating p_c only when it differs from the branch's last input;
-the oracle's sampler counts its branches from one fixed state.  The chain
-state is `model.ExactState`; the knobs are read from the config.
+`run_simulation` steps the chain from it, picking each branch's payoffs and
+learning steps once per roster from the `settle` table and updating p_c only
+when it differs from the branch's last input; the oracle's sampler counts
+its branches from one fixed state.  The chain state is `model.ExactState`;
+the knobs are read from the config.
 """
 from __future__ import annotations
 
@@ -16,8 +17,7 @@ import random
 from dataclasses import replace
 
 from . import reputation as rep
-from .model import (FIXED_PC, RoundOutcome, SystemConfig, WorkerType, clamp,
-                    compute_payoffs)
+from .model import FIXED_PC, RoundOutcome, SystemConfig, WorkerType, clamp
 
 
 def decide_strategies(p_c, draw) -> tuple:
@@ -92,14 +92,6 @@ def master_update(config: SystemConfig, p_a: float, rho_cheat: float,
                  config.p_a_min, 1.0)
 
 
-def learning_step(spec, payoff: float, cheated: bool, alpha_w: float) -> float:
-    """How far a round lowers a worker's cheat probability, before the clamp:
-    aspiration-based for rational workers, 0 for the others."""
-    if spec.wtype is not WorkerType.RATIONAL or alpha_w == 0.0:
-        return 0.0
-    return alpha_w * (payoff - spec.aspiration) * (-1.0 if cheated else 1.0)
-
-
 def worker_update(p_c: tuple, steps) -> tuple:
     """Every worker's cheat probability after its learning step, in [0, 1]."""
     return tuple([clamp(p - step, 0.0, 1.0) for p, step in zip(p_c, steps)])
@@ -117,19 +109,26 @@ def _audit(config: SystemConfig, p_a, aud, v, beta, cheaters, cheat):
     return p_a, aud + 1, v, beta, reputations, weights
 
 
-def settle(config: SystemConfig, cheaters: frozenset, audited: bool, honest_win: bool):
-    """A branch's (majority, payoffs, learning steps).  An audited round has
-    no majority; after a vote the winning camp is the majority."""
-    n = config.n
-    if audited:
-        majority = frozenset()
-    else:
-        majority = frozenset(range(n)) - cheaters if honest_win else frozenset(cheaters)
-    payoffs = compute_payoffs(n, cheaters, audited, majority,
-                              [w.wby for w in config.workers], config.wpc, config.wct)
-    steps = [learning_step(spec, pay, i in cheaters, config.alpha_w)
-             for i, (spec, pay) in enumerate(zip(config.workers, payoffs))]
-    return majority, payoffs, steps
+def settle(config: SystemConfig) -> dict:
+    """Who earns what and how far each worker learns: (audited, honest_win) ->
+    (payoffs, learning steps), one (honest, cheated) pair per worker; an
+    audited round's honest_win is True.  Audited, caught cheaters pay `wpc`
+    and the others earn their reward; after a vote only the winning camp
+    earns.  Honest workers then pay the computing cost: a losing one earns
+    0.0 - wct, 0.0 at wct = 0, where a caught cheater's -wpc reads -0.0.
+    A rational worker's step lowers its p_c, before the clamp, by alpha_w
+    times its payoff above its aspiration (raises it, if it cheated); the
+    other types' step is 0."""
+    wpc, wct, alpha_w = config.wpc, config.wct, config.alpha_w
+    table = {}
+    for audited, honest_win in ((True, True), (False, True), (False, False)):
+        payoffs = [(w.wby - wct, -wpc if audited else 0.0) if honest_win
+                   else (0.0 - wct, w.wby) for w in config.workers]
+        table[audited, honest_win] = payoffs, [
+            (alpha_w * (honest - w.aspiration) * 1.0, alpha_w * (cheated - w.aspiration) * -1.0)
+            if w.wtype is WorkerType.RATIONAL and alpha_w != 0.0 else (0.0, 0.0)
+            for w, (honest, cheated) in zip(config.workers, payoffs)]
+    return table
 
 
 def apply_role_changes(config: SystemConfig, p_c: tuple, round_: int):
@@ -152,10 +151,12 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
     """Full deterministic run: one trace of RoundOutcome per round.
 
     A worker's payoff and learning step depend only on whether it cheated,
-    the audit flag and which camp won, so each branch (cheat pattern,
-    audited, honest_win) is settled once per roster; the table is rebuilt at
-    a role change.  A settled branch keeps its last `worker_update` input
-    and output, and a round whose p_c equals that input takes that output,
+    the audit flag and which camp won, so `settle` tabulates them at the
+    start and at a role change.  Each branch (cheat pattern, audited,
+    honest_win) picks its payoffs and steps from that table once, by
+    cheat flag, and its majority from the camps: none if audited, else the
+    winning one.  A settled branch keeps its last `worker_update` input and
+    output, and a round whose p_c equals that input takes that output,
     not the input: `clamp` maps -0.0 and 0.0 alike to 0.0, and no p_c is
     NaN.  The vote weights are read when the reputations change, and camp
     sums are kept per cheat pattern until an audit changes a weight; an
@@ -175,12 +176,12 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
     reputations = rep.values(scheme, v, aud, beta)
     weights = reread_underflow(scheme, v, beta, reputations)
     change_rounds = {rc.round for rc in config.role_changes}
-    table, votes, trace, fixed = {}, {}, [], fixed_pattern(p_c)
+    table, votes, trace, fixed, rules = {}, {}, [], fixed_pattern(p_c), settle(config)
     for r in range(config.horizon):
         if r in change_rounds:
             config, p_c = apply_role_changes(config, p_c, r)
-            table, fixed = {}, fixed_pattern(p_c)
-        (cheaters, _, cheat, branches), audited, tie, honest_win = _draw_branch(
+            table, fixed, rules = {}, fixed_pattern(p_c), settle(config)
+        (cheaters, honest, cheat, branches), audited, tie, honest_win = _draw_branch(
             rng, p_a, p_c, fixed, weights, table, votes)
         if audited:
             p_a, aud, v, beta, reps, new = _audit(config, p_a, aud, v, beta, cheaters, cheat)
@@ -189,8 +190,11 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
                 weights, votes = new, {}
         settled = branches.get((audited, honest_win))
         if settled is None:
+            payoffs, steps = rules[audited, honest_win]
             settled = branches[audited, honest_win] = [
-                *settle(config, cheaters, audited, honest_win), None, None, None]
+                frozenset() if audited else frozenset(honest) if honest_win else cheaters,
+                tuple([pair[i in cheaters] for i, pair in enumerate(payoffs)]),
+                [pair[i in cheaters] for i, pair in enumerate(steps)], None, None, None]
         if p_c != settled[3]:
             out = worker_update(p_c, settled[2])
             settled[3:] = p_c, out, fixed_pattern(out)

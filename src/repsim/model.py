@@ -1,15 +1,14 @@
-"""Domain types, configuration and the payoff calculus.
+"""Domain types and configuration.
 
-Everything here is a plain value type: the engine and the exact enumerator
-share these objects and the `compute_payoffs` function so that a round has a
-single definition of who earns what.
+Everything here is a plain value type that the engine and the exact
+enumerator share; who earns what in a round is stated once, in
+`engine.settle`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
 
 from . import reputation as rep
 from .reputation import ConfigError
@@ -111,30 +110,6 @@ class RoundOutcome:
     reputations_after: tuple
     p_a_after: float
     p_c_after: tuple
-
-
-def compute_payoffs(n: int, cheaters: frozenset, audited: bool,
-                    majority: frozenset, wbys: Sequence[float],
-                    wpc: float, wct: float) -> tuple:
-    """Net per-worker payoff for one round.
-
-    Audited rounds: caught cheaters pay `wpc`, everyone else earns their
-    reward.  Unaudited rounds: only the weighted majority earns.  Honest
-    workers then pay the computing cost; the result is the net value the
-    learning rule consumes.
-    """
-    if audited and majority:
-        raise ValueError("majority must be empty in an audited round")
-    payoffs = []
-    for i in range(n):
-        if audited:
-            pi = -wpc if i in cheaters else wbys[i]
-        else:
-            pi = wbys[i] if i in majority else 0.0
-        if i not in cheaters:
-            pi -= wct
-        payoffs.append(pi)
-    return tuple(payoffs)
 
 
 #: The master's settings in manifest order: config key -> (attribute, type,

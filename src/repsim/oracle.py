@@ -81,20 +81,6 @@ def cheater_set_probabilities(state: ExactState):
     return [(s, p) for s, p in zip(_cheater_sets(len(state.p_c)), probs) if p > 0.0]
 
 
-def _next_p_c(config, state, audited, honest_won=False):
-    """Per worker, canonical p_c after a round for (honest, cheated).
-
-    An audited round has no majority; after a vote a worker is in the
-    majority iff its camp won, and `honest_won` says which camp did.
-    """
-    honest, cheated = (
-        engine.worker_update(state.p_c, engine.settle(config, cheaters, audited,
-                                                      honest_won)[2])
-        for cheaters in (frozenset(), frozenset(range(config.n))))
-    return [(round(h, GRID_DECIMALS), round(c, GRID_DECIMALS))
-            for h, c in zip(honest, cheated)]
-
-
 def enumerate_transitions(config: SystemConfig, state: ExactState) -> TransitionDistribution:
     """Exact one-step distribution from `state`.
 
@@ -108,11 +94,14 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
     Each worker's (honest, cheated) cells, tabulated once per state from the
     engine's roster-wide rules, hold its part of every column: camp
     reputations (through `engine.reread_underflow`), p_c after either camp
-    won and, if p_a > 0, post-audit reputations, p_c, v and beta.  A cheater
-    set's row is one of the cells' `itertools.product`; its columns are
-    summed into camp weights in worker order, as the engine adds, or kept
-    as the successor's tuples.  Where every post-audit reputation reads
-    0.0, p_a comes from `engine._audit`, which re-reads them.
+    won and, if p_a > 0, post-audit reputations, p_c, v and beta.  The p_c
+    columns are two `engine.worker_update` calls per branch, one with every
+    worker's honest step of the `engine.settle` table and one with its
+    cheated step.  A cheater set's row is one of the cells'
+    `itertools.product`; its columns are summed into camp weights in worker
+    order, as the engine adds, or kept as the successor's tuples.  Where
+    every post-audit reputation reads 0.0, p_a comes from `engine._audit`,
+    which re-reads them.
     """
     n = len(config.workers)
     if n > MAX_WORKERS:
@@ -125,9 +114,14 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
     masses = dict(cheater_set_probabilities(state))
     rho = engine.reread_underflow(scheme, state.v, state.beta,
                                   rep.values(scheme, state.v, state.aud, state.beta))
+    p_c_next = {}   # per branch, one (honest, cheated) pair of canonical p_c per worker
+    for branch, (_, steps) in engine.settle(config).items():
+        honest, cheated = (engine.worker_update(state.p_c, column) for column in zip(*steps))
+        p_c_next[branch] = [(round(h, GRID_DECIMALS), round(c, GRID_DECIMALS))
+                            for h, c in zip(honest, cheated)]
     # per column, one (honest, cheated) pair per worker
     columns = [[(r, 0.0) for r in rho], [(0.0, r) for r in rho],
-               *(_next_p_c(config, state, False, honest_won=hw) for hw in (True, False))]
+               p_c_next[False, True], p_c_next[False, False]]
     audited = p_a > 0.0
     if audited:
         # an audit update reads only the worker's own counts, so one audit
@@ -137,7 +131,7 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
         rho_audited = list(zip(*(rep.values(scheme, v, aud, beta)
                                  for v, beta in (truthful, caught))))
         columns += [[(0.0, c) for _, c in rho_audited], rho_audited,
-                    _next_p_c(config, state, audited=True), list(zip(truthful[0], caught[0])),
+                    p_c_next[True, True], list(zip(truthful[0], caught[0])),
                     [(round(h, GRID_DECIMALS), round(c, GRID_DECIMALS))
                      for h, c in zip(truthful[1], caught[1])]]
     cells = [tuple(zip(*pairs)) for pairs in zip(*columns)]

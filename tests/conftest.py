@@ -4,6 +4,7 @@ import io
 import math
 from itertools import chain
 from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -94,6 +95,72 @@ def reference_audit_update(scheme, v: int, beta: float, truthful: bool):
                                                                             truthful)
 
 
+# -- the reference payoff and learning rule: one branch at a time --------------
+# `model.compute_payoffs`, `engine.learning_step` and `engine.settle` as they
+# settled one branch of one cheater set before `engine.settle` tabulated the
+# whole roster, kept unchanged (but for their names) so the table is checked
+# bit for bit.
+
+def reference_payoffs(n: int, cheaters: frozenset, audited: bool,
+                      majority: frozenset, wbys: Sequence[float],
+                      wpc: float, wct: float) -> tuple:
+    """Net per-worker payoff for one round.
+
+    Audited rounds: caught cheaters pay `wpc`, everyone else earns their
+    reward.  Unaudited rounds: only the weighted majority earns.  Honest
+    workers then pay the computing cost; the result is the net value the
+    learning rule consumes.
+    """
+    if audited and majority:
+        raise ValueError("majority must be empty in an audited round")
+    payoffs = []
+    for i in range(n):
+        if audited:
+            pi = -wpc if i in cheaters else wbys[i]
+        else:
+            pi = wbys[i] if i in majority else 0.0
+        if i not in cheaters:
+            pi -= wct
+        payoffs.append(pi)
+    return tuple(payoffs)
+
+
+def reference_learning_step(spec, payoff: float, cheated: bool, alpha_w: float) -> float:
+    """How far a round lowers a worker's cheat probability, before the clamp:
+    aspiration-based for rational workers, 0 for the others."""
+    if spec.wtype is not WorkerType.RATIONAL or alpha_w == 0.0:
+        return 0.0
+    return alpha_w * (payoff - spec.aspiration) * (-1.0 if cheated else 1.0)
+
+
+def reference_settle(config: SystemConfig, cheaters: frozenset, audited: bool,
+                     honest_win: bool):
+    """A branch's (majority, payoffs, learning steps).  An audited round has
+    no majority; after a vote the winning camp is the majority."""
+    n = config.n
+    if audited:
+        majority = frozenset()
+    else:
+        majority = frozenset(range(n)) - cheaters if honest_win else frozenset(cheaters)
+    payoffs = reference_payoffs(n, cheaters, audited, majority,
+                                [w.wby for w in config.workers], config.wpc, config.wct)
+    steps = [reference_learning_step(spec, pay, i in cheaters, config.alpha_w)
+             for i, (spec, pay) in enumerate(zip(config.workers, payoffs))]
+    return majority, payoffs, steps
+
+
+def pick_branch(rules: dict, cheaters: frozenset, audited: bool, honest_win: bool):
+    """(majority, payoffs, learning steps) of one branch, picked from the
+    `engine.settle` table `rules` as `run_simulation` picks a newly settled
+    branch: each worker's pair by its cheat flag, and the majority from the
+    camps (none if audited, else the winning camp)."""
+    payoffs, steps = rules[audited, honest_win]
+    honest = [i for i in range(len(payoffs)) if i not in cheaters]
+    majority = frozenset() if audited else frozenset(honest) if honest_win else cheaters
+    return (majority, tuple([pair[i in cheaters] for i, pair in enumerate(payoffs)]),
+            [pair[i in cheaters] for i, pair in enumerate(steps)])
+
+
 # -- the test reference: one round stepped from a whole state -------------------
 # The engine draws and settles rounds from per-roster tables (`run_simulation`)
 # and the oracle tabulates them per worker; both are compared against this
@@ -140,7 +207,8 @@ def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset
             branch = Branch(cheaters, False)
         p_a, aud, v, beta = state.p_a, state.aud, state.v, state.beta
 
-    majority, payoffs, steps = engine.settle(config, cheaters, audited, honest_win)
+    majority, payoffs, steps = pick_branch(engine.settle(config), cheaters, audited,
+                                           honest_win)
     p_c = engine.worker_update(state.p_c, steps)
     outcome = RoundOutcome(-1, cheaters, audited, majority, branch.tie_outcome is not None,
                            honest_win, payoffs, reputations, p_a, p_c)

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from repsim import engine, oracle, reputation as rep, scenarios
 from repsim.model import (MAX_ROSTER, SETTINGS, ExactState, RoleChange, SystemConfig,
                           WorkerSpec, WorkerType)
-from conftest import make_config, round_successor, run_round, weighted_majority
+from conftest import (make_config, pick_branch, reference_settle, round_successor, run_round,
+                      weighted_majority)
 
 TOL = 1e-12
 
@@ -444,6 +445,45 @@ def test_equal_audit_keeps_reputation_tuple():
     first = next(r for r, o in enumerate(trace) if o.audited)
     assert first < 10
     assert len({id(o.reputations_after) for o in trace[first:]}) == 1
+
+
+#: Payoff and learning knobs, 0.0 among them: at wpc = 0 a caught cheater
+#: earns -0.0, at wct = 0 a losing honest worker 0.0 - 0.0.
+KNOBS = st.sampled_from([0.0, 0.1, 1.0]) | st.floats(0.0, 10.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(workers=st.lists(st.builds(WorkerSpec, st.sampled_from(list(WorkerType)),
+                                  aspiration=st.sampled_from([0.0, -0.0, 0.1, -0.5])
+                                  | st.floats(-10.0, 10.0), wby=KNOBS),
+                        min_size=1, max_size=5),
+       wpc=KNOBS, wct=KNOBS, alpha_w=KNOBS)
+@example(workers=[WorkerSpec(), WorkerSpec(WorkerType.MALICIOUS, aspiration=-0.5)],
+         wpc=0.0, wct=0.1, alpha_w=0.1)
+@example(workers=[WorkerSpec(), WorkerSpec(WorkerType.ALTRUISTIC, wby=0.0)],
+         wpc=1.0, wct=0.0, alpha_w=0.1)
+def test_settle_table_is_the_reference_rule(workers, wpc, wct, alpha_w):
+    # every branch of every cheater set, picked from one table, bit for bit
+    config = SystemConfig(workers=workers, wpc=wpc, wct=wct, alpha_w=alpha_w)
+    rules = engine.settle(config)
+    for cheaters in oracle._cheater_sets(len(workers)):
+        for audited, honest_win in ((True, True), (False, True), (False, False)):
+            assert repr(pick_branch(rules, cheaters, audited, honest_win)) == repr(
+                reference_settle(config, cheaters, audited, honest_win))
+
+
+def test_settle_runs_once_per_roster(monkeypatch):
+    # once at the start and once per role change, and once per oracle call
+    calls, settle = [], engine.settle
+    monkeypatch.setattr(engine, "settle", lambda config: calls.append(config) or settle(config))
+    cfg = scenarios.get_scenario("dynamic500-type2")
+    engine.run_simulation(cfg, seed=1)
+    assert len({rc.round for rc in cfg.role_changes}) == 1 and len(calls) == 2
+    calls.clear()
+    cfg = make_config(3, "type2", p_c0=0.5)
+    for _ in range(2):
+        oracle.enumerate_transitions(cfg, cfg.initial_state())
+    assert len(calls) == 2
 
 
 #: Values at the bounds of the float settings and the type 3 parameters:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repsim.model import (MAX_ROSTER, SETTINGS, ConfigError, ExactState, RoleChange,
-                          SystemConfig, WorkerSpec, WorkerType, clamp, compute_payoffs)
-from repsim import model, reputation as rep
+                          SystemConfig, WorkerSpec, WorkerType, clamp)
+from repsim import engine, model, reputation as rep
+from conftest import pick_branch
 
 
 def test_clamp():
@@ -29,26 +30,25 @@ def test_clamp_is_max_of_min(x, lo, hi):
 
 
 class TestComputePayoffs:
+    """A branch's payoffs, picked from the `engine.settle` table."""
+
+    @staticmethod
+    def branch(wbys, wpc, cheaters, audited, honest_win=True):
+        config = SystemConfig(workers=[WorkerSpec(wby=w) for w in wbys], wpc=wpc, wct=0.1)
+        return pick_branch(engine.settle(config), frozenset(cheaters), audited, honest_win)
+
     def test_audited_round(self):
         # caught cheaters pay wpc, honest workers earn reward minus cost
-        p = compute_payoffs(3, frozenset({0}), True, frozenset(),
-                            wbys=[1.0, 1.0, 0.1], wpc=2.0, wct=0.1)
-        assert p == (-2.0, 0.9, 0.0)
+        majority, p, _ = self.branch([1.0, 1.0, 0.1], 2.0, {0}, True)
+        assert p == (-2.0, 0.9, 0.0) and majority == frozenset()
 
     def test_unaudited_majority_earns(self):
-        p = compute_payoffs(3, frozenset({0}), False, frozenset({1, 2}),
-                            wbys=[1.0, 1.0, 1.0], wpc=0.0, wct=0.1)
-        assert p == (0.0, 0.9, 0.9)
+        majority, p, _ = self.branch([1.0, 1.0, 1.0], 0.0, {0}, False)
+        assert p == (0.0, 0.9, 0.9) and majority == {1, 2}
 
     def test_unaudited_cheaters_win(self):
-        p = compute_payoffs(3, frozenset({0, 1}), False, frozenset({0, 1}),
-                            wbys=[1.0, 1.0, 1.0], wpc=0.0, wct=0.1)
-        assert p == (1.0, 1.0, -0.1)
-
-    def test_audited_with_majority_rejected(self):
-        with pytest.raises(ValueError):
-            compute_payoffs(2, frozenset(), True, frozenset({0}),
-                            wbys=[1.0, 1.0], wpc=0.0, wct=0.1)
+        majority, p, _ = self.branch([1.0, 1.0, 1.0], 0.0, {0, 1}, False, honest_win=False)
+        assert p == (1.0, 1.0, -0.1) and majority == {0, 1}
 
 
 class TestConfigValidation:
