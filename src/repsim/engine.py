@@ -5,11 +5,11 @@ flag, vote) from the vote weights, which `reread_underflow` reads off the
 reputations each time they change: at the start of a run and in `_audit`.
 When every p_c is 0 or 1 no uniform can move the cheat pattern, so the draw
 step advances the generator past the strategy uniforms (`fixed_pattern`).
-`run_simulation` steps the chain from it, picking each branch's payoffs and
-learning steps once per roster from the `settle` table and updating p_c only
-when it differs from the branch's last input; the oracle's sampler counts
-its branches from one fixed state.  The chain state is `model.ExactState`;
-the knobs are read from the config.
+`run_simulation` records each round as its branch and the chain state
+(`model.ExactState`) after it, picking each branch's learning steps once per
+roster from the `settle` table and updating p_c only when it differs from
+the branch's last input; the oracle's sampler counts its branches from one
+fixed state.  The knobs are read from the config.
 """
 from __future__ import annotations
 
@@ -118,7 +118,7 @@ def settle(config: SystemConfig) -> dict:
     0.0 - wct, 0.0 at wct = 0, where a caught cheater's -wpc reads -0.0.
     A rational worker's step lowers its p_c, before the clamp, by alpha_w
     times its payoff above its aspiration (raises it, if it cheated); the
-    other types' step is 0."""
+    other types' step is 0.  No trace stores payoffs: this is their one rule."""
     wpc, wct, alpha_w = config.wpc, config.wct, config.alpha_w
     table = {}
     for audited, honest_win in ((True, True), (False, True), (False, False)):
@@ -150,20 +150,20 @@ def apply_role_changes(config: SystemConfig, p_c: tuple, round_: int):
 def run_simulation(config: SystemConfig, seed: int) -> list:
     """Full deterministic run: one trace of RoundOutcome per round.
 
-    A worker's payoff and learning step depend only on whether it cheated,
-    the audit flag and which camp won, so `settle` tabulates them at the
-    start and at a role change.  Each branch (cheat pattern, audited,
-    honest_win) picks its payoffs and steps from that table once, by
-    cheat flag, and its majority from the camps: none if audited, else the
-    winning one.  A settled branch keeps its last `worker_update` input and
-    output, and a round whose p_c equals that input takes that output,
-    not the input: `clamp` maps -0.0 and 0.0 alike to 0.0, and no p_c is
-    NaN.  The vote weights are read when the reputations change, and camp
-    sums are kept per cheat pattern until an audit changes a weight; an
-    audit that leaves them equal keeps the old tuple and its sums, and one
-    that leaves the reputations equal keeps the old reputation tuple.  No
-    reputation is -0.0 and a NaN never equals itself, so equal tuples hold
-    the same floats, and equal weights are added in the same order.
+    A worker's learning step depends only on whether it cheated, the audit
+    flag and which camp won, so `settle` tabulates it at the start and at a
+    role change, and each branch (cheat pattern, audited, honest_win) picks
+    its steps from that table once, by cheat flag (as a reader picks that
+    round's payoffs).  A settled branch keeps its last
+    `worker_update` input and output, and a round whose p_c equals that
+    input takes that output, not the input: `clamp` maps -0.0 and 0.0 alike
+    to 0.0, and no p_c is NaN.  The vote weights are read when the
+    reputations change, and camp sums are kept per cheat pattern until an
+    audit changes a weight; an audit that leaves them equal keeps the old
+    tuple and its sums, and one that leaves the reputations equal keeps the
+    old reputation tuple.  No reputation is -0.0 and a NaN never equals
+    itself, so equal tuples hold the same floats, and equal weights are
+    added in the same order.
     `fixed_pattern` is read when p_c is set: at the start, at a role change
     and beside each `worker_update` output of a settled branch.
     Per round are left `_draw_branch`, `_audit` and p_c off a fixed point.
@@ -181,7 +181,7 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
         if r in change_rounds:
             config, p_c = apply_role_changes(config, p_c, r)
             table, fixed, rules = {}, fixed_pattern(p_c), settle(config)
-        (cheaters, honest, cheat, branches), audited, tie, honest_win = _draw_branch(
+        (cheaters, _, cheat, branches), audited, tie, honest_win = _draw_branch(
             rng, p_a, p_c, fixed, weights, table, votes)
         if audited:
             p_a, aud, v, beta, reps, new = _audit(config, p_a, aud, v, beta, cheaters, cheat)
@@ -190,15 +190,12 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
                 weights, votes = new, {}
         settled = branches.get((audited, honest_win))
         if settled is None:
-            payoffs, steps = rules[audited, honest_win]
             settled = branches[audited, honest_win] = [
-                frozenset() if audited else frozenset(honest) if honest_win else cheaters,
-                tuple([pair[i in cheaters] for i, pair in enumerate(payoffs)]),
-                [pair[i in cheaters] for i, pair in enumerate(steps)], None, None, None]
-        if p_c != settled[3]:
-            out = worker_update(p_c, settled[2])
-            settled[3:] = p_c, out, fixed_pattern(out)
-        majority, payoffs, _, _, p_c, fixed = settled
-        trace.append(RoundOutcome(r, cheaters, audited, majority, tie, honest_win,
-                                  payoffs, reputations, p_a, p_c))
+                [pair[i in cheaters] for i, pair in enumerate(rules[audited, honest_win][1])],
+                None, None, None]
+        if p_c != settled[1]:
+            out = worker_update(p_c, settled[0])
+            settled[1:] = p_c, out, fixed_pattern(out)
+        _, _, p_c, fixed = settled
+        trace.append(RoundOutcome(cheaters, audited, tie, honest_win, reputations, p_a, p_c))
     return trace

@@ -49,7 +49,7 @@ def trace_columns(trace: Sequence, n: int) -> dict:
             list(chain.from_iterable(sets))] = True
     cheated = cheated[inverse]
     rho = per_worker("reputations_after")
-    return {"round": per_round("round", int), "audited": per_round("audited", bool),
+    return {"round": np.arange(rounds), "audited": per_round("audited", bool),
             "correct": per_round("accepted_correct", bool),
             "tie": per_round("tie_broken", bool), "p_a": per_round("p_a_after", float),
             "p_c": per_worker("p_c_after"), "rho": rho, "cheated": cheated,

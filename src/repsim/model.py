@@ -96,17 +96,15 @@ class RoleChange:
 
 @dataclass(slots=True)
 class RoundOutcome:
-    """Record of one executed round.  A trace holds one per round, so it has
-    slots; rounds of one settled branch share its sets and payoffs, and
-    rounds at a fixed point of the learning rule share one p_c tuple."""
+    """One round: its branch (cheat pattern, audit flag, vote) and the chain
+    state after it; its index, majority and payoffs (`engine.settle`) follow
+    from those.  A trace holds one per round, so it has slots; rounds share
+    cheater sets and, at a fixed point of the learning rule, p_c tuples."""
 
-    round: int
     cheater_set: frozenset
     audited: bool
-    majority_set: frozenset
     tie_broken: bool
     accepted_correct: bool
-    payoffs: tuple
     reputations_after: tuple
     p_a_after: float
     p_c_after: tuple
@@ -162,6 +160,8 @@ class SystemConfig:
             raise ConfigError("at least one seed is required", "seeds")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seed {_repeated(self.seeds)} is repeated", "seeds")
+        if min(self.seeds) < 0:   # random.Random seeds by abs(): -3 would rerun 3
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}", "seeds")
         # a setting bounded by another's value is checked after it
         for key in sorted(SETTINGS, key=lambda k: isinstance(SETTINGS[k][2], str)):
             attr, _, lo, hi = SETTINGS[key]

@@ -134,16 +134,13 @@ def scheme_params(scheme) -> dict:
 PARAM_KEYS = frozenset(key for cls in _CLASSES.values() for key in scheme_params(cls))
 
 
-def scheme_from_name(name: str, **params):
-    """The named scheme; parameters not given keep the class defaults."""
+def scheme_from_name(name: str):
+    """The named scheme at its class defaults."""
     cls = _CLASSES.get(name.strip().lower())
     if cls is None:
         raise ConfigError(f"unknown reputation scheme {name!r}; choose from {SCHEME_NAMES}",
                           "scheme")
-    extra = sorted(set(params) - {f.name for f in fields(cls)})
-    if extra:
-        raise ConfigError(f"scheme {cls.name} takes no parameter {extra[0]!r}", extra[0])
-    return cls(**params)
+    return cls()
 
 
 def values(scheme, v: Sequence, aud: int, beta: Sequence) -> tuple:

@@ -186,8 +186,7 @@ def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset
 
     `tie_coin` is a zero-argument callable that resolves a reputation tie in
     an unaudited round (True: the honest camp wins); it is called only when
-    a tie actually occurs.  Returns (state', branch, outcome) with
-    outcome.round left at -1.
+    a tie actually occurs.  Returns (state', branch, outcome).
     """
     if audited:
         p_a, aud, v, beta, reputations, _ = engine._audit(
@@ -207,11 +206,10 @@ def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset
             branch = Branch(cheaters, False)
         p_a, aud, v, beta = state.p_a, state.aud, state.v, state.beta
 
-    majority, payoffs, steps = pick_branch(engine.settle(config), cheaters, audited,
-                                           honest_win)
+    _, _, steps = pick_branch(engine.settle(config), cheaters, audited, honest_win)
     p_c = engine.worker_update(state.p_c, steps)
-    outcome = RoundOutcome(-1, cheaters, audited, majority, branch.tie_outcome is not None,
-                           honest_win, payoffs, reputations, p_a, p_c)
+    outcome = RoundOutcome(cheaters, audited, branch.tie_outcome is not None, honest_win,
+                           reputations, p_a, p_c)
     return ExactState(p_a, aud, p_c, v, beta), branch, outcome
 
 
@@ -247,7 +245,8 @@ def reference_trace_columns(trace, n: int) -> dict:
     cheated[np.repeat(np.arange(rounds), list(map(len, sets))),
             list(chain.from_iterable(sets))] = True
     rho = per_worker("reputations_after")
-    return {"round": per_round("round", int), "audited": per_round("audited", bool),
+    return {"round": np.fromiter(range(rounds), int, rounds),
+            "audited": per_round("audited", bool),
             "correct": per_round("accepted_correct", bool),
             "tie": per_round("tie_broken", bool), "p_a": per_round("p_a_after", float),
             "p_c": per_worker("p_c_after"), "rho": rho, "cheated": cheated,

@@ -240,9 +240,9 @@ def test_traced_reputations_match_reference_rebuild(name):
     scheme = name.split("-")[1]
     for seed, trace in sorted(traces.items()):
         rebuilt = rebuild_reputations(scheme, trace)
-        for o, expected in zip(trace, rebuilt):
+        for r, (o, expected) in enumerate(zip(trace, rebuilt)):
             for got, exp in zip(o.reputations_after, expected):
-                assert abs(got - exp) <= EXACT * exp, (seed, o.round, got, exp)
+                assert abs(got - exp) <= EXACT * exp, (seed, r, got, exp)
 
 
 def test_single_covered_worker_outweighs_pinned_cheaters():
@@ -259,10 +259,10 @@ def test_single_covered_worker_outweighs_pinned_cheaters():
     summary, traces = run(name)
     for seed, conv in zip(summary.seeds, summary.convergence_rounds):
         trace = traces[seed]
-        for o in trace[-500:]:
+        for r, o in enumerate(trace[-500:], len(trace) - 500):
             reps = o.reputations_after
-            assert all(reps[i] == 0.001 for i in uncovered), (seed, o.round)
-            assert reps[0] > 0.001 * len(uncovered), (seed, o.round, reps[0])
+            assert all(reps[i] == 0.001 for i in uncovered), (seed, r)
+            assert reps[0] > 0.001 * len(uncovered), (seed, r, reps[0])
         assert conv is not None, seed
         assert all(o.accepted_correct and o.p_a_after <= cfg.p_a_min + 0.005
                    for o in trace[conv:]), (seed, conv)

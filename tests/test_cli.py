@@ -129,7 +129,8 @@ def test_bad_config_is_reported_not_raised(tmp_path, capsys):
     ("1 1", "--seeds: seed 1 is repeated"),
     ("1 x", "--seeds: expected an integer, got 'x'"),
     ("", "--seeds: at least one seed is required"),
-], ids=["repeated", "malformed", "empty"])
+    ("3 -3", "--seeds: seeds must be >= 0, got -3"),
+], ids=["repeated", "malformed", "empty", "negative"])
 def test_bad_seeds_named_by_flag(tmp_path, capsys, seeds, message):
     assert run_cli("run", "--scenario", "rational9-type2-pc1", "--horizon", "30",
                    "--seeds", seeds, "--out", str(tmp_path / "out")) == 1
@@ -156,6 +157,18 @@ def test_bad_seeds_named_by_flag(tmp_path, capsys, seeds, message):
 def test_bad_flag_named(tmp_path, capsys, flags, message):
     assert run_cli("run", "--scenario", "rational9-type2-pc1", *flags,
                    "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"run: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("scheme = type3\nepsilon = 0.3\n", "line 2: scheme type3 takes no parameter 'epsilon'"),
+    ("horizon = 20\nseeds = 3 -3\n", "line 2: seeds must be >= 0, got -3"),
+], ids=["epsilon-on-type3", "negative-seed"])
+def test_bad_config_line_named(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"run: {message}\n"
     assert not (tmp_path / "out").exists()
 
@@ -372,10 +385,10 @@ def reference_write_trace(path: Path, seed: int, trace, n: int):
               + [f"rho_{i}" for i in range(n)]
               + [f"cheated_{i}" for i in range(n)])
     lines = [",".join(header)]
-    for o in trace:
+    for round_, o in enumerate(trace):
         ratio = sum(r * (-1.0 if i in o.cheater_set else 1.0)
                     for i, r in enumerate(o.reputations_after)) / n
-        row = [str(seed), str(o.round), str(int(o.audited)),
+        row = [str(seed), str(round_), str(int(o.audited)),
                str(int(o.accepted_correct)), str(int(o.tie_broken)),
                _f(o.p_a_after), _f(ratio)]
         row += [_f(p) for p in o.p_c_after]
@@ -458,11 +471,10 @@ edge_floats = st.sampled_from(EDGE_FLOATS) | st.floats(-1e300, 1e300)
 def edge_traces(draw):
     n = draw(st.integers(1, 4))
     per_worker = st.lists(edge_floats, min_size=n, max_size=n).map(tuple)
-    trace = [RoundOutcome(r, frozenset(draw(st.sets(st.integers(0, n - 1)))),
-                          draw(st.booleans()), frozenset(), draw(st.booleans()),
-                          draw(st.booleans()), (), draw(per_worker), draw(edge_floats),
-                          draw(per_worker))
-             for r in range(draw(st.integers(0, 6)))]
+    trace = [RoundOutcome(frozenset(draw(st.sets(st.integers(0, n - 1)))),
+                          draw(st.booleans()), draw(st.booleans()), draw(st.booleans()),
+                          draw(per_worker), draw(edge_floats), draw(per_worker))
+             for _ in range(draw(st.integers(0, 6)))]
     return n, trace
 
 

@@ -205,13 +205,19 @@ def test_run_invariants(n, p_c0, scheme, seed):
     cfg = make_config(n=n, scheme=scheme, p_c0=p_c0, horizon=30)
     trace = engine.run_simulation(cfg, seed)
     assert len(trace) == 30
+    rules = engine.settle(cfg)
     for o in trace:
         assert cfg.p_a_min <= o.p_a_after <= 1.0
         assert all(0.0 <= p <= 1.0 for p in o.p_c_after)
         assert all(0.0 <= r <= 1.0 for r in o.reputations_after)
-        assert len(o.payoffs) == n
+        majority, payoffs, _ = pick_branch(rules, o.cheater_set, o.audited, o.accepted_correct)
+        assert len(payoffs) == n
         if o.audited:
-            assert o.accepted_correct and not o.majority_set
+            assert o.accepted_correct and not majority and not o.tie_broken
+        else:   # the camp that won the vote weighs no less than the other
+            rho = [sum(o.reputations_after[i] for i in range(n) if (i in majority) == won)
+                   for won in (True, False)]
+            assert rho[0] >= rho[1] and (rho[0] == rho[1]) == o.tie_broken
 
 
 def assert_kernel_invariants(cfg, trace):
@@ -262,7 +268,6 @@ def stepped_trace(cfg, seed):
         cfg, p_c = engine.apply_role_changes(cfg, state.p_c, r)
         state = replace(state, p_c=p_c)
         state, _, outcome = run_round(cfg, state, rng)
-        outcome.round = r
         trace.append(outcome)
     return trace
 
@@ -516,6 +521,8 @@ def type3_at_bounds(draw):
                           scheme=rep.Type3(beta_init=1e308, increment=1e308, decay=0.0),
                           horizon=40, seeds=(1,)))
 def test_type3_trace_finite_at_bounds(cfg):
+    rules = engine.settle(cfg)
     for o in engine.run_simulation(cfg, seed=1):
-        assert all(map(math.isfinite, (*o.payoffs, *o.reputations_after,
+        _, payoffs, _ = pick_branch(rules, o.cheater_set, o.audited, o.accepted_correct)
+        assert all(map(math.isfinite, (*payoffs, *o.reputations_after,
                                        o.p_a_after, *o.p_c_after))), o

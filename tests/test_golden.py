@@ -13,8 +13,9 @@ import hashlib
 
 import pytest
 
-from repsim import cli, scenarios
+from repsim import cli, engine, scenarios
 from repsim.engine import run_simulation
+from conftest import pick_branch
 
 TIES_CONFIG = ("scheme = none\n"
                "worker = altruistic x4\n"
@@ -99,12 +100,13 @@ def test_run_output_matches_golden_hashes(name, tmp_path):
     assert got == GOLDEN[name]
 
 
-def _outcome_text(trace) -> str:
-    """Every RoundOutcome field of a trace, one round per line, floats by
-    `float.hex` and sets sorted.  Rounds of one settled branch share their
-    tuples, so each tuple is written once per identity (the trace keeps it
-    alive, so no id is reused)."""
-    written = {}
+def _outcome_text(config, trace) -> str:
+    """Every RoundOutcome field of a trace of `config`, with each round's
+    index, majority and payoffs (`pick_branch` from the `engine.settle` table
+    of the roster that ran it), one round per line, floats by `float.hex`
+    and sets sorted.  Rounds share their tuples, so each tuple is written
+    once per identity (the trace keeps it alive, so no id is reused)."""
+    written, branches, p_c = {}, {}, config.initial_state().p_c
 
     def hexes(values):
         text = written.get(id(values))
@@ -112,11 +114,20 @@ def _outcome_text(trace) -> str:
             text = written[id(values)] = ",".join(map(float.hex, values))
         return text
 
-    return "".join([
-        f"{o.round}|{sorted(o.cheater_set)}|{o.audited}|{sorted(o.majority_set)}|"
-        f"{o.tie_broken}|{o.accepted_correct}|{hexes(o.payoffs)}|"
-        f"{hexes(o.reputations_after)}|{o.p_a_after.hex()}|{hexes(o.p_c_after)}\n"
-        for o in trace])
+    lines = []
+    for r, o in enumerate(trace):
+        if any(rc.round == r for rc in config.role_changes):
+            config, p_c = engine.apply_role_changes(config, p_c, r)
+            branches = {}
+        key = o.cheater_set, o.audited, o.accepted_correct
+        if key not in branches:
+            majority, payoffs, _ = pick_branch(engine.settle(config), *key)
+            branches[key] = sorted(majority), ",".join(map(float.hex, payoffs))
+        majority, payoffs = branches[key]
+        lines.append(f"{r}|{sorted(o.cheater_set)}|{o.audited}|{majority}|"
+                     f"{o.tie_broken}|{o.accepted_correct}|{payoffs}|"
+                     f"{hexes(o.reputations_after)}|{o.p_a_after.hex()}|{hexes(o.p_c_after)}\n")
+    return "".join(lines)
 
 
 CATALOG_SHA256 = "69483b904b7d77959fab4a827a3f560598183bc04504c5d571b64c11cb9d115d"
@@ -128,5 +139,6 @@ def test_catalog_outcomes_match_golden_hash():
     digest = hashlib.sha256()
     for name in scenarios.list_scenarios():
         digest.update(f"{name}\n".encode())
-        digest.update(_outcome_text(run_simulation(scenarios.get_scenario(name), 1)).encode())
+        config = scenarios.get_scenario(name)
+        digest.update(_outcome_text(config, run_simulation(config, 1)).encode())
     assert digest.hexdigest() == CATALOG_SHA256

@@ -9,13 +9,11 @@ from repsim.model import RoundOutcome
 from conftest import make_config, reference_trace_columns
 
 
-def outcome(r=0, correct=True, p_a=0.01, audited=False,
+def outcome(correct=True, p_a=0.01, audited=False,
             cheaters=frozenset(), reps=(), p_cs=()):
-    return RoundOutcome(round=r, cheater_set=frozenset(cheaters),
-                        audited=audited, majority_set=frozenset(),
+    return RoundOutcome(cheater_set=frozenset(cheaters), audited=audited,
                         tie_broken=False, accepted_correct=correct,
-                        payoffs=(), reputations_after=tuple(reps),
-                        p_a_after=p_a, p_c_after=tuple(p_cs))
+                        reputations_after=tuple(reps), p_a_after=p_a, p_c_after=tuple(p_cs))
 
 
 def test_reputation_ratio_signs():
@@ -138,12 +136,12 @@ def shared_traces(draw):
         obj = draw(st.sampled_from(pool))
         return copy(obj) if draw(st.booleans()) else obj
 
-    trace = [RoundOutcome(round=r, cheater_set=pick(sets, lambda s: frozenset(set(s))),
-                          audited=draw(st.booleans()), majority_set=frozenset(),
+    trace = [RoundOutcome(cheater_set=pick(sets, lambda s: frozenset(set(s))),
+                          audited=draw(st.booleans()),
                           tie_broken=draw(st.booleans()), accepted_correct=draw(st.booleans()),
-                          payoffs=(), reputations_after=pick(reps, lambda t: tuple(list(t))),
+                          reputations_after=pick(reps, lambda t: tuple(list(t))),
                           p_a_after=draw(floats), p_c_after=pick(p_cs, lambda t: tuple(list(t))))
-             for r in range(draw(st.integers(0, 30)))]
+             for _ in range(draw(st.integers(0, 30)))]
     return trace, n
 
 
@@ -154,8 +152,8 @@ ALL_CHEAT, MINUS_ZERO = frozenset({0}), (-0.0,)
 @settings(max_examples=200, deadline=None)
 @given(shared_traces())
 @example(([], 2))
-@example(([outcome(0, cheaters=ALL_CHEAT, reps=(0.5,), p_cs=MINUS_ZERO),
-           outcome(1, cheaters=ALL_CHEAT, reps=(0.5,), p_cs=MINUS_ZERO),
-           outcome(2, reps=(0.0,), p_cs=[0.0]), outcome(3, reps=(0.5,), p_cs=[-0.0])], 1))
+@example(([outcome(cheaters=ALL_CHEAT, reps=(0.5,), p_cs=MINUS_ZERO),
+           outcome(cheaters=ALL_CHEAT, reps=(0.5,), p_cs=MINUS_ZERO),
+           outcome(reps=(0.0,), p_cs=[0.0]), outcome(reps=(0.5,), p_cs=[-0.0])], 1))
 def test_columns_match_reference_on_shared_objects(case):
     assert_same_columns(*case)

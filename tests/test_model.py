@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -125,11 +126,11 @@ def valid_configs(draw):
         aspiration=floats(), wby=floats(0.0)), min_size=1, max_size=4))
     p_a_min = draw(floats(0.0, 1.0))
     cfg = SystemConfig(
-        workers=workers, scheme=rep.scheme_from_name(name, **params),
+        workers=workers, scheme=replace(rep.scheme_from_name(name), **params),
         wpc=draw(floats(0.0)), wct=draw(floats(0.0)), alpha_w=draw(floats(0.0)),
         alpha_m=draw(floats(0.0)), p_a0=draw(floats(p_a_min, 1.0)), p_a_min=p_a_min,
         tau=draw(floats(0.0, 1.0)), horizon=draw(st.integers(0, 10_000)),
-        seeds=tuple(draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=3,
+        seeds=tuple(draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3,
                                   unique=True))),
         role_changes=[RoleChange(r, draw(st.integers(0, len(workers) - 1)), t)
                       for r, t in draw(st.lists(st.tuples(
@@ -203,6 +204,7 @@ class TestConfigText:
         ("beta_decay = 0.9\n", 1),
         ("scheme = type3\nepsilon = 0.3\n", 2),
         ("horizon = 5\nseeds = 1 2 1\n", 2),
+        ("horizon = 5\nseeds = 3 -3\n", 2),
         ("seeds = 1 x\n", 1),
         ("horizon = 5\nrole_change = 5 x malicious\n", 2),
         ("horizon = 5.5\n", 1),
@@ -221,7 +223,7 @@ class TestConfigText:
         ("worker = rational x\u00b2\n", 1),
     ], ids=["repeat-count-zero", "empty-seeds", "repeated-key",
             "type1-epsilon", "type2-beta-decay", "type3-epsilon",
-            "repeated-seed", "malformed-seed", "malformed-role-change",
+            "repeated-seed", "negative-seed", "malformed-seed", "malformed-role-change",
             "malformed-horizon", "malformed-float", "malformed-scheme-parameter",
             "type3-negative-decay", "type3-negative-increment", "type3-nan-bound",
             "type3-nan-beta-init", "type3-infinite-bound", "empty-worker",

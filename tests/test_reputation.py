@@ -2,6 +2,7 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import pytest
 from conftest import reference_audit_update, reference_value
@@ -19,9 +20,9 @@ def test_scheme_name_round_trip():
     with pytest.raises(rep.ConfigError) as exc:
         rep.scheme_from_name("type9")
     assert exc.value.key == "scheme"
-    assert rep.scheme_from_name("type3", decay=0.9) == rep.Type3(decay=0.9)
+    assert replace(rep.scheme_from_name("type3"), decay=0.9) == rep.Type3(decay=0.9)
     with pytest.raises(rep.ConfigError, match="epsilon") as exc:
-        rep.scheme_from_name("type1", epsilon=0.3)
+        model.SystemConfig().updated({"scheme": "type1", "epsilon": "0.3"}, {})
     assert exc.value.key == "epsilon"
 
 
@@ -33,7 +34,7 @@ def test_validate_scheme_bounds():
         rep.Type3(error_bound=0.0)
     assert exc.value.key == "error_bound"
     with pytest.raises(rep.ConfigError) as exc:
-        rep.scheme_from_name("type3", beta_init=-0.1)
+        replace(rep.Type3(), beta_init=-0.1)
     assert exc.value.key == "beta_init"
 
 
