@@ -1,7 +1,7 @@
 """Round loop: strategy draws, auditing, weighted majority and learning.
 
 `_draw_branch` turns one round's uniforms into a branch (cheat pattern, audit
-flag, vote) from the vote weights, which `reread_underflow` reads off the
+flag, vote) from the vote weights, which `vote_weights` reads with the
 reputations each time they change: at the start of a run and in `_audit`.
 When every p_c is 0 or 1 no uniform can move the cheat pattern, so the draw
 step advances the generator past the strategy uniforms (`fixed_pattern`).
@@ -36,31 +36,33 @@ def fixed_pattern(p_c):
     return tuple([p == 1 for p in p_c]) if {0, 1}.issuperset(p_c) else None
 
 
-def reread_underflow(scheme, v, beta, reps) -> tuple:
-    """The vote weights of `reps`: `reps`, unless every one reads 0.0 (type 2
-    after ~1075 audits).  No reputation is negative and the two camps cover
-    every worker, so that is exactly when both camps would sum to 0.0.  Then
-    the reputations read again at aud = max(v).  Type 2 depends only on
-    aud - v, so that divides every value by the same eps^(aud - max(v)):
-    camps keep their ratio, and the best-validated worker reads above 0.0,
-    so an empty camp never ties a non-empty one.  If they still all read 0.0
-    (type 3, every beta at error_bound), equal reputations weigh 1.0 each."""
+def vote_weights(scheme, v, aud, beta) -> tuple:
+    """(reputations, vote weights) of the counts: the same tuple twice, unless
+    every reputation reads 0.0 (type 2 after ~1075 audits).  No reputation is
+    negative and the two camps cover every worker, so that is exactly when
+    both camps would sum to 0.0.  Then the weights read again at aud = max(v).
+    Type 2 depends only on aud - v, so that divides every value by the same
+    eps^(aud - max(v)): camps keep their ratio, and the best-validated worker
+    reads above 0.0, so an empty camp never ties a non-empty one.  If they
+    still all read 0.0 (type 3, every beta at error_bound), equal reputations
+    weigh 1.0 each."""
+    reps = rep.values(scheme, v, aud, beta)
     if any(reps):
-        return reps
-    reps = rep.values(scheme, v, max(v), beta)
-    return reps if any(reps) else (1.0,) * len(reps)
+        return reps, reps
+    weights = rep.values(scheme, v, max(v), beta)
+    return reps, weights if any(weights) else (1.0,) * len(reps)
 
 
-def _draw_branch(rng, p_a, p_c, pattern, weights, camps, votes):
+def _draw_branch(rng, p_a, p_c, pattern, weights, camps):
     """One round's branch from the uniforms of the `random.Random` `rng`.
 
     Draw order: n strategy uniforms (ascending index), one audit uniform,
     then one tie uniform only if the vote ties; a `fixed_pattern(p_c)`
     `pattern` skips the first n with one `getrandbits(64 * n)`, the 2n
     32-bit words of n `random()` calls.  `camps` keeps each cheat pattern's
-    (cheater set, honest indices, cheater indices, settled branches);
-    `votes` keeps each pattern's camp sums of `weights`, added in index
-    order (see `reputation`), so it must be emptied when they change.
+    [cheater set, honest indices, cheater indices, settled branches, weights,
+    camp sums]: the sums of those weights, added in index order (see
+    `reputation`), taken again when `weights` is another tuple.
     Returns (camps entry, audited, tie, honest_win).
     """
     if pattern is None:
@@ -69,16 +71,14 @@ def _draw_branch(rng, p_a, p_c, pattern, weights, camps, votes):
         rng.getrandbits(64 * len(p_c))
     entry = camps.get(pattern)
     if entry is None:
-        entry = camps[pattern] = (frozenset(i for i, c in enumerate(pattern) if c),
+        entry = camps[pattern] = [frozenset(i for i, c in enumerate(pattern) if c),
                                   [i for i, c in enumerate(pattern) if not c],
-                                  [i for i, c in enumerate(pattern) if c], {})
+                                  [i for i, c in enumerate(pattern) if c], {}, None, None]
     if rng.random() < p_a:
         return entry, True, False, True
-    rho = votes.get(pattern)
-    if rho is None:
-        rho = votes[pattern] = [sum(map(weights.__getitem__, members))
-                                for members in entry[1:3]]
-    rho_honest, rho_cheat = rho
+    if entry[4] is not weights:
+        entry[4:] = weights, [sum(map(weights.__getitem__, members)) for members in entry[1:3]]
+    rho_honest, rho_cheat = entry[5]
     tie = rho_honest == rho_cheat
     return entry, False, tie, rng.random() < 0.5 if tie else rho_honest > rho_cheat
 
@@ -103,8 +103,7 @@ def _audit(config: SystemConfig, p_a, aud, v, beta, cheaters, cheat):
     lists `cheaters` in index order."""
     scheme = config.scheme
     v, beta = rep.audit_updates(scheme, v, beta, cheaters)
-    reputations = rep.values(scheme, v, aud + 1, beta)
-    weights = reread_underflow(scheme, v, beta, reputations)
+    reputations, weights = vote_weights(scheme, v, aud + 1, beta)
     p_a = master_update(config, p_a, sum(map(weights.__getitem__, cheat)), sum(weights))
     return p_a, aud + 1, v, beta, reputations, weights
 
@@ -138,8 +137,6 @@ def apply_role_changes(config: SystemConfig, p_c: tuple, round_: int):
     changes; validation counts and error rates are left as they are.
     """
     due = [rc for rc in config.role_changes if rc.round == round_]
-    if not due:
-        return config, p_c
     workers, p_c = list(config.workers), list(p_c)
     for rc in due:
         workers[rc.worker] = replace(workers[rc.worker], wtype=rc.new_type)
@@ -158,12 +155,12 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
     `worker_update` input and output, and a round whose p_c equals that
     input takes that output, not the input: `clamp` maps -0.0 and 0.0 alike
     to 0.0, and no p_c is NaN.  The vote weights are read when the
-    reputations change, and camp sums are kept per cheat pattern until an
-    audit changes a weight; an audit that leaves them equal keeps the old
-    tuple and its sums, and one that leaves the reputations equal keeps the
-    old reputation tuple.  No reputation is -0.0 and a NaN never equals
-    itself, so equal tuples hold the same floats, and equal weights are
-    added in the same order.
+    reputations change, and each cheat pattern's camp sums are tagged with
+    the weights tuple they came from; an audit that leaves the weights equal
+    keeps the old tuple, so no pattern sums again, and one that leaves the
+    reputations equal keeps the old reputation tuple.  No reputation is -0.0
+    and a NaN never equals itself, so equal tuples hold the same floats, and
+    equal weights are added in the same order.
     `fixed_pattern` is read when p_c is set: at the start, at a role change
     and beside each `worker_update` output of a settled branch.
     Per round are left `_draw_branch`, `_audit` and p_c off a fixed point.
@@ -173,21 +170,19 @@ def run_simulation(config: SystemConfig, seed: int) -> list:
     scheme = config.scheme
     state = config.initial_state()
     p_a, aud, p_c, v, beta = state.p_a, state.aud, state.p_c, state.v, state.beta
-    reputations = rep.values(scheme, v, aud, beta)
-    weights = reread_underflow(scheme, v, beta, reputations)
+    reputations, weights = vote_weights(scheme, v, aud, beta)
     change_rounds = {rc.round for rc in config.role_changes}
-    table, votes, trace, fixed, rules = {}, {}, [], fixed_pattern(p_c), settle(config)
+    table, trace, fixed, rules = {}, [], fixed_pattern(p_c), settle(config)
     for r in range(config.horizon):
         if r in change_rounds:
             config, p_c = apply_role_changes(config, p_c, r)
             table, fixed, rules = {}, fixed_pattern(p_c), settle(config)
-        (cheaters, _, cheat, branches), audited, tie, honest_win = _draw_branch(
-            rng, p_a, p_c, fixed, weights, table, votes)
+        (cheaters, _, cheat, branches, _, _), audited, tie, honest_win = _draw_branch(
+            rng, p_a, p_c, fixed, weights, table)
         if audited:
             p_a, aud, v, beta, reps, new = _audit(config, p_a, aud, v, beta, cheaters, cheat)
             reputations = reputations if reps == reputations else reps
-            if new != weights:
-                weights, votes = new, {}
+            weights = weights if new == weights else new
         settled = branches.get((audited, honest_win))
         if settled is None:
             settled = branches[audited, honest_win] = [

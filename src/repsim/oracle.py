@@ -93,7 +93,7 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
 
     Each worker's (honest, cheated) cells, tabulated once per state from the
     engine's roster-wide rules, hold its part of every column: camp
-    reputations (through `engine.reread_underflow`), p_c after either camp
+    reputations (through `engine.vote_weights`), p_c after either camp
     won and, if p_a > 0, post-audit reputations, p_c, v and beta.  The p_c
     columns are two `engine.worker_update` calls per branch, one with every
     worker's honest step of the `engine.settle` table and one with its
@@ -112,8 +112,7 @@ def enumerate_transitions(config: SystemConfig, state: ExactState) -> Transition
     state = state.canonical()
     scheme, p_a, aud = config.scheme, state.p_a, state.aud + 1
     masses = dict(cheater_set_probabilities(state))
-    rho = engine.reread_underflow(scheme, state.v, state.beta,
-                                  rep.values(scheme, state.v, state.aud, state.beta))
+    rho = engine.vote_weights(scheme, state.v, state.aud, state.beta)[1]
     p_c_next = {}   # per branch, one (honest, cheated) pair of canonical p_c per worker
     for branch, (_, steps) in engine.settle(config).items():
         honest, cheated = (engine.worker_update(state.p_c, column) for column in zip(*steps))
@@ -250,16 +249,16 @@ def sample_round_keys(config: SystemConfig, state: ExactState, samples: int,
 
     Every sample is one `engine._draw_branch` from `state`, the step each
     round of `engine.run_simulation` draws; the state never moves, so its vote
-    weights, camp sums and fixed pattern are read once and nothing is settled.
+    weights (`engine.vote_weights`) and fixed pattern are read once, each cheat
+    pattern sums its camps once, and nothing is settled.
     """
     state = state.canonical()
     rng, fixed = random.Random(seed), engine.fixed_pattern(state.p_c)
-    reputations = rep.values(config.scheme, state.v, state.aud, state.beta)
-    weights = engine.reread_underflow(config.scheme, state.v, state.beta, reputations)
-    camps, votes, counts = {}, {}, {}
+    weights = engine.vote_weights(config.scheme, state.v, state.aud, state.beta)[1]
+    camps, counts = {}, {}
     for _ in range(samples):
         entry, audited, tie, honest_win = engine._draw_branch(
-            rng, state.p_a, state.p_c, fixed, weights, camps, votes)
+            rng, state.p_a, state.p_c, fixed, weights, camps)
         key = (entry[0], audited, honest_win if tie else None)
         counts[key] = counts.get(key, 0) + 1
     return {Branch(*key): count for key, count in counts.items()}

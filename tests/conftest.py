@@ -166,15 +166,14 @@ def pick_branch(rules: dict, cheaters: frozenset, audited: bool, honest_win: boo
 # and the oracle tabulates them per worker; both are compared against this
 # straight-line round, which applies the engine's rule functions once each.
 
-def weighted_majority(scheme, state: ExactState, cheaters: frozenset, reps=None):
-    """Aggregate vote weights of the two camps (`reps`: the reputations of
-    `state`, if known), each camp added in index order.
+def weighted_majority(scheme, state: ExactState, cheaters: frozenset):
+    """Aggregate vote weights of the two camps of `state`, each camp added in
+    index order.
 
     Returns (rho_honest, rho_cheat, tie).  All cheaters return one identical
     wrong value, so the vote is camp-against-camp.
     """
-    reps = reps or rep.values(scheme, state.v, state.aud, state.beta)
-    weights = engine.reread_underflow(scheme, state.v, state.beta, reps)
+    weights = engine.vote_weights(scheme, state.v, state.aud, state.beta)[1]
     rho_honest = sum(w for i, w in enumerate(weights) if i not in cheaters)
     rho_cheat = sum(w for i, w in enumerate(weights) if i in cheaters)
     return rho_honest, rho_cheat, rho_honest == rho_cheat
@@ -194,8 +193,7 @@ def round_successor(config: SystemConfig, state: ExactState, cheaters: frozenset
         honest_win, branch = True, Branch(cheaters, True)
     else:
         reputations = rep.values(config.scheme, state.v, state.aud, state.beta)
-        rho_honest, rho_cheat, tie = weighted_majority(config.scheme, state, cheaters,
-                                                       reputations)
+        rho_honest, rho_cheat, tie = weighted_majority(config.scheme, state, cheaters)
         if tie:
             if tie_coin is None:
                 raise ValueError("tie occurred but no tie coin was supplied")

@@ -135,13 +135,28 @@ class TestUnderflowedVote:
             0.0, 1.5, False)
 
 
+def test_vote_weights_reread_only_past_underflow():
+    v, beta = (3, 5, 3), (0.0,) * 3
+    reputations, weights = engine.vote_weights(rep.Type2(), v, 6, beta)
+    assert reputations == rep.values(rep.Type2(), v, 6, beta)
+    assert weights is reputations
+    # the counts of test_oracle's underflowed_state: every reputation reads 0.0
+    reputations, weights = engine.vote_weights(rep.Type2(), v, 1200, beta)
+    assert reputations == (0.0,) * 3
+    assert weights == rep.values(rep.Type2(), v, max(v), beta)
+    assert any(weights)
+    # type 3 with every error rate at its bound reads 0.0 at any aud
+    scheme = rep.Type3()
+    reputations, weights = engine.vote_weights(scheme, v, 10, (scheme.error_bound,) * 3)
+    assert reputations == (0.0,) * 3
+    assert weights == (1.0,) * 3
+
+
 def draw_branch(cfg, rng):
     """The engine's draw step, once from the config's start state."""
     s = cfg.initial_state()
-    weights = engine.reread_underflow(cfg.scheme, s.v, s.beta,
-                                      rep.values(cfg.scheme, s.v, s.aud, s.beta))
-    return engine._draw_branch(rng, s.p_a, s.p_c, engine.fixed_pattern(s.p_c), weights,
-                               {}, {})
+    weights = engine.vote_weights(cfg.scheme, s.v, s.aud, s.beta)[1]
+    return engine._draw_branch(rng, s.p_a, s.p_c, engine.fixed_pattern(s.p_c), weights, {})
 
 
 class TestRoundRng:
